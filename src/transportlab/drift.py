@@ -378,8 +378,14 @@ class LinearDrift(Drift):
             raise DriftError("linear field is unbounded; pass a radius")
         return float(np.linalg.norm(self.matrix, 2)) * radius
 
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return np.array_equal(self.matrix, other.matrix)
+
     def __hash__(self):
-        return hash(self.matrix.tobytes())
+        # by value, not bytes: -0.0 and 0.0 compare equal
+        return hash(tuple(self.matrix.ravel().tolist()))
 
 
 @dataclass(frozen=True)

@@ -44,6 +44,16 @@ class FlowError(RuntimeError):
     pass
 
 
+def _grid_index(times, t):
+    """Index k of t on the uniform time grid ``times`` (within 1e-9), else None."""
+    k = 0
+    if len(times) > 1:
+        k = int(round((t - times[0]) / (times[1] - times[0])))
+    if not (0 <= k < len(times)) or abs(times[k] - t) > 1e-9:
+        return None
+    return k
+
+
 @dataclass(frozen=True)
 class Trajectory:
     start: float
@@ -55,8 +65,8 @@ class Trajectory:
         return self.states.shape[1]
 
     def at(self, t):
-        k = int(round((t - self.times[0]) / (self.times[1] - self.times[0])))
-        if not (0 <= k < len(self.times)) or abs(self.times[k] - t) > 1e-9:
+        k = _grid_index(self.times, t)
+        if k is None:
             raise FlowError(f"t={t} not on the trajectory grid")
         return self.states[k]
 
@@ -83,9 +93,8 @@ class FlowEnsemble:
         return self.initial.shape[1]
 
     def time_index(self, t):
-        dt = self.times[1] - self.times[0]
-        k = int(round((t - self.times[0]) / dt))
-        if not (0 <= k < len(self.times)) or abs(self.times[k] - t) > 1e-9:
+        k = _grid_index(self.times, t)
+        if k is None:
             raise FlowError(f"t={t} not stored in the ensemble")
         return k
 
@@ -538,13 +547,24 @@ def ensemble_to_binary(ens: FlowEnsemble, fileobj):
     fileobj.write(np.ascontiguousarray(ens.states, dtype="<f8").tobytes())
 
 
+def _read_exact(fileobj, size):
+    data = fileobj.read(size)
+    if len(data) != size:
+        raise FlowError(f"truncated ensemble dump: wanted {size} bytes, got {len(data)}")
+    return data
+
+
 def ensemble_from_binary(fileobj):
     if fileobj.read(4) != _MAGIC:
         raise FlowError("not an ensemble dump")
-    _, m, n, d = struct.unpack("<IIII", fileobj.read(16))
-    times = np.frombuffer(fileobj.read(8 * m), dtype="<f8")
-    initial = np.frombuffer(fileobj.read(8 * n * d), dtype="<f8").reshape(n, d)
-    states = np.frombuffer(fileobj.read(8 * m * n * d), dtype="<f8").reshape(m, n, d)
+    version, m, n, d = struct.unpack("<IIII", _read_exact(fileobj, 16))
+    if version != 1:
+        raise FlowError(f"unsupported ensemble dump version {version} (expected 1)")
+    if min(m, n, d) == 0:
+        raise FlowError(f"empty ensemble dump: {m} times, {n} points, d={d}")
+    times = np.frombuffer(_read_exact(fileobj, 8 * m), dtype="<f8")
+    initial = np.frombuffer(_read_exact(fileobj, 8 * n * d), dtype="<f8").reshape(n, d)
+    states = np.frombuffer(_read_exact(fileobj, 8 * m * n * d), dtype="<f8").reshape(m, n, d)
     return FlowEnsemble(
         path=None,
         start=float(times[0]),

@@ -56,6 +56,17 @@ class BrownianPath:
         np.cumsum(inc, axis=0, out=w[1:])
         object.__setattr__(self, "_grid", w)
 
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return (
+            (self.dt, self.seed, self.stream_id) == (other.dt, other.seed, other.stream_id)
+            and np.array_equal(self.increments, other.increments)
+        )
+
+    def __hash__(self):
+        return hash((self.dt, self.seed, self.stream_id, self.increments.shape))
+
     @property
     def d(self):
         return self.increments.shape[1]

@@ -58,6 +58,17 @@ class SpaceTimeField:
         if not np.all(np.isfinite(self.values)):
             raise ParabolicError("field contains non-finite values")
 
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return (
+            (self.bc, self.notes) == (other.bc, other.notes)
+            and all(
+                np.array_equal(a, b)
+                for a, b in ((self.xs, other.xs), (self.ts, other.ts), (self.values, other.values))
+            )
+        )
+
     @property
     def h(self):
         return float(self.xs[1] - self.xs[0])

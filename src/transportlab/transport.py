@@ -182,10 +182,11 @@ def _edges(lo, hi, n_cells, splits=()):
 
 
 def _gauss_nodes_weights(edges):
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * np.diff(edges)
-    nodes = np.concatenate([mid - half * _GAUSS_OFF, mid + half * _GAUSS_OFF])
-    weights = np.concatenate([half, half])
+    """Gauss nodes and weights of the cells along the last axis of ``edges``."""
+    mid = 0.5 * (edges[..., :-1] + edges[..., 1:])
+    half = 0.5 * np.diff(edges, axis=-1)
+    nodes = np.concatenate([mid - half * _GAUSS_OFF, mid + half * _GAUSS_OFF], axis=-1)
+    weights = np.concatenate([half, half], axis=-1)
     return nodes, weights
 
 
@@ -584,13 +585,38 @@ def _weak_ito_2d(provider, spec, theta, path, t, n_x, signed):
 # mollification commutators
 
 
+# windows per block in _convolve_at: bounds the (windows, nodes) temporaries
+_CONV_BLOCK = 256
+
+
 def _convolve_at(points, fn, eps, kernel, inner_cells, splits):
-    """(theta_eps * fn)(p) for each p, cells split at the jump locations."""
+    """(theta_eps * fn)(p) for each p, cells split at the jump locations.
+
+    A window [p - eps, p + eps] with no jump inside has the plain stencil, so
+    such windows are evaluated _CONV_BLOCK at a time as one C-ordered
+    (windows, nodes) array.  Each row gets the edges, the node values and the
+    pairwise row sum of a single-window evaluation, so the result is bit for
+    bit the per-window sum.  Windows holding a jump get their own edges.
+    """
+    points = np.asarray(points, dtype=float)
+    lo, hi = points - eps, points + eps
+    split = np.zeros(len(points), dtype=bool)
+    for s in splits:
+        split |= (lo < s) & (s < hi)
     out = np.empty(len(points))
-    for i, p in enumerate(points):
-        edges = _edges(p - eps, p + eps, inner_cells, splits)
+    for i in np.flatnonzero(split):
+        edges = _edges(lo[i], hi[i], inner_cells, splits)
         nodes, w = _gauss_nodes_weights(edges)
-        out[i] = np.sum(w * kernel(p - nodes) * fn(nodes))
+        out[i] = np.sum(w * kernel(points[i] - nodes) * fn(nodes))
+    plain = np.flatnonzero(~split)
+    for start in range(0, len(plain), _CONV_BLOCK):
+        idx = plain[start:start + _CONV_BLOCK]
+        # linspace along the last axis is an F-ordered view; strided rows would
+        # be summed in another order than the per-window sum
+        edges = np.ascontiguousarray(np.linspace(lo[idx], hi[idx], int(inner_cells) + 1, axis=-1))
+        nodes, w = _gauss_nodes_weights(edges)
+        vals = fn(nodes.ravel()).reshape(nodes.shape)
+        out[idx] = np.sum(w * kernel(points[idx, None] - nodes) * vals, axis=-1)
     return out
 
 
@@ -659,13 +685,13 @@ def _commutator_core(v, g, eps, lo, hi, weight, dweight, n_outer, inner_cells, t
     nodes, w = _gauss_nodes_weights(edges)
     mids = 0.5 * (edges[:-1] + edges[1:])
 
-    conv_g_nodes = _convolve_at(nodes, g, eps, kern, inner_cells, g_splits)
+    conv_g = _convolve_at(np.concatenate([nodes, mids]), g, eps, kern, inner_cells, g_splits)
+    conv_g_nodes, conv_g_mids = conv_g[:len(nodes)], conv_g[len(nodes):]
     conv_gv_nodes = _convolve_at(nodes, gv, eps, kern, inner_cells, g_splits + v_splits)
     dw_nodes = dweight(nodes)
     c1 = float(np.sum(w * dw_nodes * v.value_1d(t, nodes) * conv_g_nodes))
     c2 = float(np.sum(w * dw_nodes * conv_gv_nodes))
 
-    conv_g_mids = _convolve_at(mids, g, eps, kern, inner_cells, g_splits)
     a_term = _stieltjes_div(v, t, edges, np.asarray(weight(mids)) * conv_g_mids)
 
     # B term lives on supp(rho) inflated by eps

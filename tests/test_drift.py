@@ -3,6 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from transportlab import drift as dr
+from transportlab import noise as nz
+from transportlab import parabolic as pa
 
 
 def test_holder_power_values():
@@ -204,3 +206,26 @@ def test_mollified_linear_exact_2d():
     m = dr.mollify_drift(dr.LinearDrift(matrix=A), 0.2, 24)
     pts = np.array([[0.4, -0.6], [0.0, 0.0]])
     assert np.allclose(m.value(0.0, pts), pts @ A.T, atol=1e-12)
+
+
+def test_array_backed_drifts_compare_by_value():
+    A = np.array([[0.3, -1.1], [0.7, 0.2]])
+    assert dr.LinearDrift(np.eye(2)) == dr.LinearDrift(np.eye(2))
+    assert dr.LinearDrift(A) != dr.LinearDrift(A.T)
+    assert dr.LinearDrift(np.eye(2)) != dr.LinearDrift(np.eye(3))
+    assert dr.LinearDrift([[0.0]]) == dr.LinearDrift([[-0.0]])
+    assert hash(dr.LinearDrift([[0.0]])) == hash(dr.LinearDrift([[-0.0]]))
+    assert len({dr.LinearDrift(A), dr.LinearDrift(A.copy()), dr.LinearDrift(A.T)}) == 2
+    assert dr.mollify_drift(dr.LinearDrift(A), 0.1) == dr.mollify_drift(dr.LinearDrift(A.copy()), 0.1)
+
+    p, q = (nz.sample_brownian(1, 0, 1, 1.0, 2**-4) for _ in range(2))
+    other = nz.sample_brownian(1, 1, 1, 1.0, 2**-4)
+    assert dr.RandomShiftSqrtDrift(path=p) == dr.RandomShiftSqrtDrift(path=q)
+    assert hash(dr.RandomShiftSqrtDrift(path=p)) == hash(dr.RandomShiftSqrtDrift(path=q))
+    assert dr.RandomShiftSqrtDrift(path=p) != dr.RandomShiftSqrtDrift(path=other)
+
+    def field(values):
+        return pa.SpaceTimeField(xs=np.linspace(-1, 1, 3), ts=np.array([0.0, 1.0]), values=values)
+
+    assert dr.GridSampledDrift(field=field(np.zeros((2, 3)))) == dr.GridSampledDrift(field=field(np.zeros((2, 3))))
+    assert dr.GridSampledDrift(field=field(np.zeros((2, 3)))) != dr.GridSampledDrift(field=field(np.ones((2, 3))))

@@ -1,4 +1,5 @@
 import io
+import struct
 
 import numpy as np
 import pytest
@@ -266,6 +267,32 @@ def test_ensemble_exports(path):
     again = fl.ensemble_from_binary(raw)
     assert np.array_equal(again.states, ens.states)
     assert np.array_equal(again.times, ens.times)
+    assert np.array_equal(again.initial, ens.initial)
+    assert again.start == ens.start
+
+    data = raw.getvalue()
+    with pytest.raises(fl.FlowError, match="version 9"):
+        fl.ensemble_from_binary(io.BytesIO(data[:4] + struct.pack("<I", 9) + data[8:]))
+    with pytest.raises(fl.FlowError, match="empty"):
+        fl.ensemble_from_binary(io.BytesIO(data[:8] + struct.pack("<I", 0) + data[12:]))
+    # cut inside the header, the times, the initial points and the states
+    for cut in (10, 24, 20 + 8 * len(ens.times) + 4, len(data) - 1):
+        with pytest.raises(fl.FlowError, match="truncated"):
+            fl.ensemble_from_binary(io.BytesIO(data[:cut]))
+
+
+def test_single_time_objects(path):
+    ens = fl.forward_flow(dr.ZeroDrift(), path, np.linspace(-1, 1, 5), 0.5, [0.5])
+    assert len(ens.times) == 1
+    assert ens.time_index(0.5) == 0
+    assert np.array_equal(ens.states_at(0.5), ens.initial)
+    with pytest.raises(fl.FlowError, match="not stored"):
+        ens.time_index(0.25)
+    traj = fl.integrate_sde(dr.ZeroDrift(), path, 0.3, 0.5, 0.5)
+    assert len(traj.times) == 1
+    assert traj.at(0.5)[0] == 0.3
+    with pytest.raises(fl.FlowError, match="not on the trajectory grid"):
+        traj.at(0.75)
 
 
 def test_jacobian_record_bundle(path):

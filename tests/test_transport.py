@@ -369,6 +369,58 @@ def test_commutator_along_flow_smooth_decay(path):
         prev = val
 
 
+def _convolve_per_window(points, fn, eps, kernel, inner_cells, splits):
+    """Oracle: one window at a time, the loop the blocked _convolve_at replaces."""
+    out = np.empty(len(points))
+    for i, p in enumerate(points):
+        edges = tp._edges(p - eps, p + eps, inner_cells, splits)
+        mid = 0.5 * (edges[:-1] + edges[1:])
+        half = 0.5 * np.diff(edges)
+        nodes = np.concatenate([mid - half * tp._GAUSS_OFF, mid + half * tp._GAUSS_OFF])
+        w = np.concatenate([half, half])
+        out[i] = np.sum(w * kernel(p - nodes) * fn(nodes))
+    return out
+
+
+def test_convolve_blocks_match_per_window_bitwise():
+    eps, g = 0.125, tp.StepDatum(0.0)
+    kern = dr.Mollifier(eps=eps, dim=1).kernel
+    # window edges exactly on the split point count as windows without a jump
+    on_split = np.array([eps, -eps])
+    assert on_split[0] - eps == 0.0 and on_split[1] + eps == 0.0
+    points = np.concatenate([np.linspace(-3.0, 3.0, 2 * tp._CONV_BLOCK + 37), on_split])
+    unsplit = np.sum((points - eps >= 0.0) | (points + eps <= 0.0))
+    assert tp._CONV_BLOCK * 2 < unsplit < len(points)
+    for splits in ((0.0,), (0.0, -2.0, 0.0, 2.0), ()):
+        got = tp._convolve_at(points, g, eps, kern, 24, splits)
+        assert np.array_equal(got, _convolve_per_window(points, g, eps, kern, 24, splits))
+
+
+def test_commutator_convolutions_match_per_window_bitwise(monkeypatch, path):
+    v = dr.HolderPowerDrift(gamma=0.5, cap=2.0, signed=True)
+    g = tp.StepDatum(0.0)
+    rho = tp.TestFunction(0.3, 1.2)
+    ens = fl.forward_flow(v, path, np.linspace(-5.0, 5.0, 513), 0.0, [0.5])
+    runs = [
+        lambda: tp.commutator(v, g, 0.05, rho),
+        lambda: tp.commutator_along_flow(v, g, 0.05, rho, ens, 0.5),
+    ]
+    blocked = [run() for run in runs]
+
+    calls = []
+    monkeypatch.setattr(tp, "_convolve_at", lambda *a: calls.append(a) or _convolve_per_window(*a))
+    assert [run() for run in runs] == blocked
+    # the step datum, g * v, rho and the along-flow weight closure
+    assert {getattr(c[1], "__qualname__", type(c[1]).__name__) for c in calls} == {
+        "StepDatum", "_commutator_core.<locals>.<lambda>", "TestFunction.value",
+        "commutator_along_flow.<locals>.weight",
+    }
+    assert max(len(c[0]) for c in calls) > tp._CONV_BLOCK
+    monkeypatch.undo()
+    for args in calls:
+        assert np.array_equal(tp._convolve_at(*args), _convolve_per_window(*args))
+
+
 def test_uniqueness_gap_noise_on():
     out = tp.uniqueness_gap_experiment(
         0.5, 2.0, tp.StepDatum(0.0), noise_on=True, seed=3, n_paths=4,
