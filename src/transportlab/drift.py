@@ -9,7 +9,7 @@ treated elementwise.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -25,8 +25,6 @@ __all__ = [
     "Mollifier",
     "bump_value",
     "bump_derivative",
-    "eval_drift",
-    "eval_divergence",
     "mollify_drift",
     "holder_seminorm_estimate",
     "drift_to_dict",
@@ -38,6 +36,16 @@ __all__ = [
 
 class DriftError(ValueError):
     pass
+
+
+def _fields_equal(a, b):
+    """Dataclass == over the compared fields, arrays by np.array_equal."""
+    if type(b) is not type(a):
+        return NotImplemented
+    return all(
+        np.array_equal(x, y) if isinstance(x, np.ndarray) else x == y
+        for x, y in ((getattr(a, f.name), getattr(b, f.name)) for f in fields(a) if f.compare)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -378,10 +386,7 @@ class LinearDrift(Drift):
             raise DriftError("linear field is unbounded; pass a radius")
         return float(np.linalg.norm(self.matrix, 2)) * radius
 
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return np.array_equal(self.matrix, other.matrix)
+    __eq__ = _fields_equal
 
     def __hash__(self):
         # by value, not bytes: -0.0 and 0.0 compare equal
@@ -512,17 +517,7 @@ class GridSampledDrift(Drift):
 
 
 # ---------------------------------------------------------------------------
-# module-level operations (thin functional facade over the variants)
-
-
-def eval_drift(spec: Drift, t, x):
-    """b(t, x); accepts scalars, single points or arrays of points."""
-    return spec.value(t, np.asarray(x, dtype=float))
-
-
-def eval_divergence(spec: Drift, t, x, h=1e-5, mode="auto"):
-    """div b(t, x); analytic where the variant defines one, else centered FD."""
-    return spec.divergence(t, np.asarray(x, dtype=float), h=h, mode=mode)
+# module-level operations
 
 
 def mollify_drift(spec: Drift, eps, quad_points=32):

@@ -60,6 +60,15 @@ def _row(name, measured, expected, tolerance, passed, **params):
     )
 
 
+def _paths(config):
+    """The config's ensemble of Brownian paths, streams 0..ensemble-1."""
+    g = config.grid
+    return [
+        _noise.sample_brownian(config.seed, j, 1, g["T"], g["dt"])
+        for j in range(int(config.ensemble))
+    ]
+
+
 def _mollified_power(config):
     """The experiment's drift: config.drift wins, else mollified power law."""
     if config.drift is not None:
@@ -114,7 +123,7 @@ def det_nonuniqueness(config):
     gamma = config.extra["gamma"]
     cap = config.extra["cap"]
     t = config.grid["T"]
-    xp = float(_tp.holder_branch(gamma, cap, t))
+    xp = float(_flow.holder_extremal_branch(gamma, cap, t))
     branch_err = abs(xp - t ** (1.0 / (1.0 - gamma)))
     out = _tp.uniqueness_gap_experiment(
         gamma,
@@ -162,15 +171,9 @@ def stochastic_uniqueness(config):
     spec = _drift.HolderPowerDrift(gamma=gamma, cap=cap, signed=True)
     deltas = list(config.ladders["delta"])
     g = config.grid
-    seps = {d: [] for d in deltas}
-    extremal = None
-    for j in range(config.ensemble):
-        path = _noise.sample_brownian(config.seed, j, 1, g["T"], g["dt"])
-        rep = _flow.pathwise_uniqueness_probe(spec, path, 0.0, deltas, g["T"])
-        extremal = rep.extremal_separation
-        for r in rep.rows:
-            seps[r["delta"]].append(r["separation_at_t"])
-    medians = [float(np.median(seps[d])) for d in deltas]
+    rep = _flow.pathwise_uniqueness_probe(spec, _paths(config), 0.0, deltas, g["T"])
+    extremal = rep.extremal_separation
+    medians = [float(np.median(r["separation_at_t"])) for r in rep.rows]
     decreasing = all(b < a for a, b in zip(medians, medians[1:]))
     det_err = abs(extremal - 2.0)
     rows = [
@@ -213,7 +216,7 @@ def mean_pde_mc(config):
         hi = min(lo + block, n_paths)
         inc = _noise.sample_increments(config.seed, 1, g["T"], g["dt"], hi - lo, stream_offset=lo)
         for i, x in enumerate(probes):
-            pre = _flow.backward_batch(spec, inc, g["dt"], np.full((hi - lo, 1), x), 0, k_t)
+            pre = _flow.march(spec, inc, [x], g["dt"], 0, k_t, backward=True)
             mc[lo:hi, i] = u0(pre[:, 0])
     mc_mean = mc.mean(axis=0)
 
@@ -262,13 +265,10 @@ def ito_tanaka(config):
     f = lambda t, xs: spec.divergence(t, xs)
     F = _pb.solve_terminal_value(spec, f, g["L"], g["n_x"], g["n_t"], T=g["T"])
     DF = F.x_derivative()
-    rels = []
-    for j in range(int(config.ensemble)):
-        path = _noise.sample_brownian(config.seed, j, 1, g["T"], g["dt"])
-        rep = _pb.ito_tanaka_check(
-            spec, f, path, ex["x0"], g["L"], g["n_x"], g["n_t"], F=F, DF=DF
-        )
-        rels.append(rep["residual"] / (abs(rep["lhs"]) + 0.01))
+    reps = _pb.ito_tanaka_check(
+        spec, f, _paths(config), ex["x0"], g["L"], g["n_x"], g["n_t"], F=F, DF=DF
+    )
+    rels = [rep["residual"] / (abs(rep["lhs"]) + 0.01) for rep in reps]
     med = float(np.median(rels))
     rows = [
         _row("median_relative_residual", med, "0", "<0.05", med < 0.05, paths=config.ensemble)
@@ -388,13 +388,15 @@ def jacobian_consistency(config):
     n = int(round(2 * g["half_width"] / g["h_x"]))
     xs = np.linspace(-g["half_width"], g["half_width"], n + 1)
     mid = n // 2
-    rels = []
-    for j in range(int(config.ensemble)):
-        path = _noise.sample_brownian(config.seed, j, 1, g["T"], g["dt"])
-        ens = _flow.forward_flow(spec, path, xs, 0.0, [g["T"]])
-        jfd = _flow.jacobian_fd(ens, mid, g["T"])
-        jld = _flow.jacobian_logdiv(spec, path, [xs[mid]], g["T"])
-        rels.append(abs(np.exp(jld) - jfd) / jfd)
+    k_t = int(round(g["T"] / g["dt"]))
+    inc = _noise.stacked_increments(_paths(config))[:, :, None, :]
+    # the centered difference at xs[mid] reads only its two lattice
+    # neighbours, so march those three points; columns march independently
+    traj = _flow.march(spec, inc, xs[mid - 1 : mid + 2, None], g["dt"], 0, k_t, record=True)
+    jfd = (traj[-1, :, 2, 0] - traj[-1, :, 0, 0]) / (2.0 * float(xs[1] - xs[0]))
+    times = g["dt"] * np.arange(k_t + 1)
+    jld = _flow.jacobian_logdiv(spec, times, traj[:, :, 1], g["dt"])
+    rels = (abs(np.exp(jld) - jfd) / jfd).tolist()
     med = float(np.median(rels))
     rows = [_row("median_relative_gap", med, "0", "<5e-2", med < 5e-2, gamma=ex["gamma"])]
     series = {"path-vs-relative-gap": list(zip(range(len(rels)), rels))}
@@ -478,20 +480,22 @@ def wong_zakai(config):
     spec = _mollified_power(config)
     pts = np.asarray(ex["points"], dtype=float)
     ladder = [int(n) for n in config.ladders["n"]]
-    errs = {n: [] for n in ladder}
     dt = g["dt"]
     steps = int(round(g["T"] / dt))
-    for j in range(int(config.ensemble)):
-        path = _noise.sample_brownian(config.seed, j, 1, g["T"], dt)
-        ref = _flow.forward_flow(spec, path, pts, 0.0, [g["T"]]).states_at(g["T"])[:, 0]
-        for n in ladder:
-            sp = _noise.wong_zakai_smooth(path, n)
-            X = pts.copy()
-            for k in range(steps):
-                tk = k * dt
-                X = X + (spec.value_1d(tk, X) + sp.derivative(tk)[0]) * dt
-            errs[n].append(np.abs(X - ref))
-    med = {n: float(np.median(np.concatenate(errs[n]))) for n in ladder}
+    paths = _paths(config)
+    inc = _noise.stacked_increments(paths)[:, :, None, :]
+    ref = _flow.march(spec, inc, pts[:, None], dt, 0, steps)[..., 0]  # (paths, points)
+    med = {}
+    for n in ladder:
+        # random ODE x' = b(x) + W_n'(t), all paths at once; the step keeps
+        # the form (b + W_n') dt
+        smooth = [_noise.wong_zakai_smooth(path, n) for path in paths]
+        X = np.array(np.broadcast_to(pts, ref.shape))
+        for k in range(steps):
+            tk = k * dt
+            wdot = np.array([sp.derivative(tk)[0] for sp in smooth])
+            X = X + (spec.value_1d(tk, X) + wdot[:, None]) * dt
+        med[n] = float(np.median(np.abs(X - ref).ravel()))
     ratio = med[ladder[0]] / med[ladder[-1]]
     rows = [
         _row(
@@ -546,14 +550,10 @@ def random_drift_negative(config):
 def sobolev_jacobian(config):
     ex = config.extra
     g = config.grid
-    paths = [
-        _noise.sample_brownian(config.seed, j, 1, g["T"], g["dt"])
-        for j in range(int(config.ensemble))
-    ]
     rows_data = _flow.sobolev_jacobian_probe(
         ex["gammas"],
         config.ladders["eps"],
-        paths,
+        _paths(config),
         g["r"],
         cap=ex["cap"],
         n_x=g["n_x"],

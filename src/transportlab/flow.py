@@ -9,18 +9,19 @@ and flow probes meaningful.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import noise as _noise
-from .drift import Drift, HolderPowerDrift
+from .drift import Drift, HolderPowerDrift, _fields_equal
 
 __all__ = [
     "Trajectory",
     "FlowEnsemble",
     "JacobianRecord",
     "FlowError",
+    "march",
     "integrate_sde",
     "forward_flow",
     "inverse_flow_backward",
@@ -33,8 +34,6 @@ __all__ = [
     "sobolev_jacobian_probe",
     "random_drift_negative_probe",
     "holder_extremal_branch",
-    "euler_batch",
-    "backward_batch",
     "ensemble_to_csv",
     "ensemble_to_binary",
 ]
@@ -60,6 +59,11 @@ class Trajectory:
     times: np.ndarray        # (m+1,)
     states: np.ndarray       # (m+1, d)
 
+    __eq__ = _fields_equal
+
+    def __hash__(self):
+        return hash((self.start, self.states.shape))
+
     @property
     def d(self):
         return self.states.shape[1]
@@ -84,9 +88,13 @@ class FlowEnsemble:
     times: np.ndarray          # (m+1,)
     initial: np.ndarray        # (n, d)
     states: np.ndarray         # (m+1, n, d)
-    direction: str = "forward"
     lattice_shape: tuple = ()
     spacing: tuple = ()
+
+    __eq__ = _fields_equal
+
+    def __hash__(self):
+        return hash((self.start, self.states.shape))
 
     @property
     def d(self):
@@ -123,30 +131,47 @@ def _grid_indices(path, s, t):
     return ks, kt
 
 
-def _euler_many(spec: Drift, path, X0, s, t):
-    """March all rows of X0 (n, d) forward from s to t on the path grid."""
-    ks, kt = _grid_indices(path, s, t)
-    X = np.array(X0, dtype=float)
-    states = np.empty((kt - ks + 1,) + X.shape)
-    states[0] = X
-    dt = path.dt
-    for k in range(ks, kt):
-        bval = spec.value(k * dt, X)
-        X = X + bval * dt + path.increments[k]
+def march(spec: Drift, increments, X0, dt, k0, k1, backward=False, record=False):
+    """Euler-Maruyama over grid steps k0..k1 of one or many noise paths.
+
+    ``increments`` (n_steps, ..., d) holds dW_k = W((k+1) dt) - W(k dt) and
+    broadcasts against X0 (..., d): a path axis marches every point along
+    every path at once, each column with the bits of a march of its own.
+    Forward: X + b(k dt, X) dt + dW_k for k = k0..k1-1.  Backward, the
+    inverse flow from time k1 dt: Z - b(k dt, Z) dt - dW_{k-1}, k = k1..k0+1.
+    Returns the end state, or with ``record`` the states at grid times
+    k0..k1 in time order, shape (k1 - k0 + 1, ...).
+    """
+    if not 0 <= k0 <= k1 <= len(increments):
+        raise FlowError(f"need 0 <= k0 <= k1 <= {len(increments)}, got k0={k0}, k1={k1}")
+    X0 = np.asarray(X0, dtype=float)
+    X = np.array(np.broadcast_to(X0, np.broadcast_shapes(X0.shape, increments.shape[1:])))
+    if record:
+        states = np.empty((k1 - k0 + 1,) + X.shape)
+        states[k1 - k0 if backward else 0] = X
+    for i in range(k1 - k0):
+        if backward:
+            k = k1 - i
+            X = X - spec.value(k * dt, X) * dt - increments[k - 1]
+        else:
+            k = k0 + i
+            X = X + spec.value(k * dt, X) * dt + increments[k]
         if not np.all(np.isfinite(X)):
-            raise FlowError(f"non-finite state (overflow) at step {k}")
-        states[k - ks + 1] = X
-    times = dt * np.arange(ks, kt + 1)
-    return times, states
+            where = "backward step" if backward else "step"
+            raise FlowError(f"non-finite state (overflow) at {where} {k}")
+        if record:
+            states[k - 1 - k0 if backward else k + 1 - k0] = X
+    return states if record else X
 
 
 def integrate_sde(spec: Drift, path, x0, s=0.0, t=None):
     """Trajectory of dX = b(t, X) dt + dW from X_s = x0 up to time t."""
     if t is None:
         t = path.T
+    ks, kt = _grid_indices(path, s, t)
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    times, states = _euler_many(spec, path, x0[None, :], s, t)
-    return Trajectory(start=s, times=times, states=states[:, 0, :])
+    states = march(spec, path.increments, x0[None, :], path.dt, ks, kt, record=True)
+    return Trajectory(start=s, times=path.dt * np.arange(ks, kt + 1), states=states[:, 0, :])
 
 
 def forward_flow(spec: Drift, path, grid, s, t_list):
@@ -172,16 +197,15 @@ def forward_flow(spec: Drift, path, grid, s, t_list):
         raise FlowError("grid must be 1-d points or an (n1, n2, 2) lattice")
     if not np.all(np.isfinite(initial)):
         raise FlowError("grid points must be finite")
-    t_end = max(t_list)
     for t in t_list:
         path.index_of(t, "t_list entry")
-    times, states = _euler_many(spec, path, initial, s, t_end)
+    ks, kt = _grid_indices(path, s, max(t_list))
     return FlowEnsemble(
         path=path,
         start=s,
-        times=times,
+        times=path.dt * np.arange(ks, kt + 1),
         initial=initial,
-        states=states,
+        states=march(spec, path.increments, initial, path.dt, ks, kt, record=True),
         lattice_shape=lattice_shape,
         spacing=spacing,
     )
@@ -190,46 +214,8 @@ def forward_flow(spec: Drift, path, grid, s, t_list):
 def inverse_flow_backward(spec: Drift, path, y, s, t):
     """phi_{s,t}^{-1}(y) via the backward SDE with negated drift and noise."""
     ks, kt = _grid_indices(path, s, t)
-    Z = np.atleast_1d(np.asarray(y, dtype=float)).copy()
-    dt = path.dt
-    for k in range(kt, ks, -1):
-        bval = spec.value(k * dt, Z[None, :])[0]
-        Z = Z - bval * dt - path.increments[k - 1]
-        if not np.all(np.isfinite(Z)):
-            raise FlowError(f"non-finite state (overflow) at backward step {k}")
-    return Z
-
-
-def euler_batch(spec: Drift, increments, dt, X0, t0=0.0, record=None):
-    """Vectorized forward Euler over a batch axis; increments (m, ..., d).
-
-    ``record`` (optional list of step indices) collects intermediate states.
-    Used by Monte Carlo experiments where each batch column carries its own
-    noise stream.
-    """
-    X = (np.asarray(X0, dtype=float) + np.zeros(increments.shape[1:])).astype(float)
-    collected = {}
-    if record is not None and 0 in record:
-        collected[0] = X.copy()
-    for k in range(increments.shape[0]):
-        X += spec.value(t0 + k * dt, X) * dt + increments[k]
-        if record is not None and (k + 1) in record:
-            collected[k + 1] = X.copy()
-    if record is not None:
-        return X, collected
-    return X
-
-
-def backward_batch(spec: Drift, increments, dt, Y, s_idx, t_idx, t0=0.0):
-    """Vectorized backward march of the inverse-flow SDE from t_idx to s_idx.
-
-    ``Y`` broadcasts against increments[k] (shape (..., d)); each batch
-    column carries its own noise.
-    """
-    Z = (np.asarray(Y, dtype=float) + np.zeros(increments.shape[1:])).astype(float)
-    for k in range(t_idx, s_idx, -1):
-        Z = Z - spec.value(t0 + k * dt, Z) * dt - increments[k - 1]
-    return Z
+    y = np.atleast_1d(np.asarray(y, dtype=float))
+    return march(spec, path.increments, y[None, :], path.dt, ks, kt, backward=True)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -345,12 +331,11 @@ def jacobian_fd(ens: FlowEnsemble, index, t):
 def jacobian_record(spec: Drift, ens: FlowEnsemble, index, t, div_step=1e-5):
     """Both Jacobian routes at one lattice point, bundled for comparison."""
     det = jacobian_fd(ens, index, t)
-    point = ens.initial[index] if ens.d == 1 else ens.initial[
-        index[0] * ens.lattice_shape[1] + index[1]
-    ]
-    logdiv = jacobian_logdiv(spec, ens.path, point, t, s=ens.start, div_step=div_step)
+    i = index if ens.d == 1 else index[0] * ens.lattice_shape[1] + index[1]
+    k = ens.time_index(t) + 1
+    logdiv = jacobian_logdiv(spec, ens.times[:k], ens.states[:k, i], ens.path.dt, div_step)
     return JacobianRecord(
-        point=np.asarray(point, dtype=float),
+        point=np.asarray(ens.initial[i], dtype=float),
         time=float(t),
         det_fd=float(det),
         log_div=float(logdiv),
@@ -358,29 +343,43 @@ def jacobian_record(spec: Drift, ens: FlowEnsemble, index, t, div_step=1e-5):
     )
 
 
-def jacobian_logdiv(spec: Drift, path, x, t, s=0.0, div_step=1e-5):
-    """log J phi_t(x) as the time integral of div b along the trajectory."""
-    traj = integrate_sde(spec, path, x, s=s, t=t)
+def jacobian_logdiv(spec: Drift, times, states, dt, div_step=1e-5):
+    """log J phi_t(x) as the time integral of div b along marched trajectories.
+
+    ``states`` (m+1, ..., d) holds the trajectories at ``times`` on a grid of
+    step ``dt``, as ``march(..., record=True)`` returns them; the result has
+    one value per trajectory (a float for a single one).
+    """
     if spec.time_dependent:
         vals = np.array(
-            [
-                spec.divergence(tt, st[None, :], h=div_step)[0]
-                for tt, st in zip(traj.times, traj.states)
-            ]
+            [spec.divergence(tt, st, h=div_step) for tt, st in zip(times, states)]
         )
     else:
-        vals = spec.divergence(0.0, traj.states, h=div_step)
-    return float(np.trapezoid(vals, dx=path.dt))
+        vals = spec.divergence(0.0, states, h=div_step)
+    logj = _integrate_rows(np.moveaxis(vals, 0, -1), dt)
+    return float(logj) if logj.ndim == 0 else logj
 
 
-def log_jacobian_cumulative(spec: Drift, path, xs, t, s=0.0, div_step=1e-5):
-    """log J phi_.(x) on a 1-d grid: (times, logJ[(m+1), n]) for the probe."""
+def _integrate_rows(vals, dx):
+    """Trapezoid rule along the last axis over C-contiguous rows, which sum in
+    the pairwise order of a 1-d array; a strided axis would change the bits."""
+    return np.trapezoid(np.ascontiguousarray(vals), dx=dx, axis=-1)
+
+
+def log_jacobian_cumulative(spec: Drift, paths, xs, t, s=0.0, div_step=1e-5):
+    """log J phi_.(x) on a 1-d grid along every path of ``paths``.
+
+    Returns (times, logJ) with logJ[k, j, i] for time k, path j, point i.
+    """
     xs = np.asarray(xs, dtype=float)
-    times, states = _euler_many(spec, path, xs[:, None], s, t)
-    vals = np.empty((len(times), len(xs)))
+    ks, kt = _grid_indices(paths[0], s, t)
+    dt = paths[0].dt
+    inc = _noise.stacked_increments(paths)[:, :, None, :]
+    states = march(spec, inc, xs[:, None], dt, ks, kt, record=True)
+    times = dt * np.arange(ks, kt + 1)
+    vals = np.empty(states.shape[:-1])
     for k, tt in enumerate(times):
         vals[k] = spec.divergence(tt, states[k], h=div_step)
-    dt = path.dt
     out = np.zeros_like(vals)
     np.cumsum(0.5 * (vals[1:] + vals[:-1]) * dt, axis=0, out=out[1:])
     return times, out
@@ -405,31 +404,35 @@ class UniquenessProbeReport:
     time: float
 
 
-def pathwise_uniqueness_probe(spec: Drift, path, x0, delta_list, t):
+def pathwise_uniqueness_probe(spec: Drift, paths, x0, delta_list, t):
     """Separation of solutions started at x0 and x0 + delta, shared noise.
 
-    A companion run on the zero path reports the deterministic behaviour; for
+    Every start is marched along every path of ``paths`` at once; each row
+    holds one delta with per-path arrays of the noisy separations.  A
+    companion run on the zero path reports the deterministic behaviour; for
     the HolderPower drift started at its degenerate point the closed-form
     extremal-branch separation 2 t^(1/(1-gamma)) is attached as well.
     """
     x0 = float(np.asarray(x0).reshape(-1)[0])
-    zero = _noise.zero_path(path.d, path.T, path.dt)
-    rows = []
-    for delta in delta_list:
-        starts = np.array([[x0], [x0 + delta]])
-        _, noisy = _euler_many(spec, path, starts, 0.0, t)
-        _, det = _euler_many(spec, zero, starts, 0.0, t)
-        sep_noisy = np.abs(noisy[:, 1, 0] - noisy[:, 0, 0])
-        sep_det = np.abs(det[:, 1, 0] - det[:, 0, 0])
-        rows.append(
-            {
-                "delta": float(delta),
-                "separation_at_t": float(sep_noisy[-1]),
-                "sup_separation": float(sep_noisy.max()),
-                "det_separation_at_t": float(sep_det[-1]),
-                "det_sup_separation": float(sep_det.max()),
-            }
-        )
+    ks, kt = _grid_indices(paths[0], 0.0, t)
+    dt = paths[0].dt
+    starts = np.array([x0] + [x0 + delta for delta in delta_list])[:, None]
+    inc = _noise.stacked_increments(paths)[:, :, None, :]
+    noisy = march(spec, inc, starts, dt, ks, kt, record=True)[..., 0]
+    zero = _noise.zero_path(paths[0].d, paths[0].T, dt)
+    det = march(spec, zero.increments, starts, dt, ks, kt, record=True)[..., 0]
+    sep_noisy = np.abs(noisy[..., 1:] - noisy[..., :1])  # (m+1, paths, deltas)
+    sep_det = np.abs(det[:, 1:] - det[:, :1])  # (m+1, deltas)
+    rows = [
+        {
+            "delta": float(delta),
+            "separation_at_t": sep_noisy[-1, :, i],
+            "sup_separation": sep_noisy[:, :, i].max(axis=0),
+            "det_separation_at_t": float(sep_det[-1, i]),
+            "det_sup_separation": float(sep_det[:, i].max()),
+        }
+        for i, delta in enumerate(delta_list)
+    ]
     extremal = None
     if isinstance(spec, HolderPowerDrift) and spec.signed and x0 == 0.0:
         extremal = float(2.0 * holder_extremal_branch(spec.gamma, spec.cap, t))
@@ -458,6 +461,8 @@ def sobolev_jacobian_probe(
     from .drift import mollify_drift
 
     rows = []
+    xs = np.linspace(-r, r, int(n_x) + 1)
+    h = xs[1] - xs[0]
     for gamma in gammas:
         base = HolderPowerDrift(gamma=float(gamma), cap=cap, signed=True)
         for eps in eps_ladder:
@@ -465,16 +470,12 @@ def sobolev_jacobian_probe(
                 spec = drift_factory(gamma, eps)
             else:
                 spec = mollify_drift(base, eps, quad_points)
+            _, logj = log_jacobian_cumulative(spec, paths, xs, t, div_step=div_step)
+            dlog = (logj[..., 2:] - logj[..., :-2]) / (2.0 * h)
+            space = _integrate_rows(dlog**2, h)  # (m+1, paths)
             acc = 0.0
-            xs = np.linspace(-r, r, int(n_x) + 1)
-            h = xs[1] - xs[0]
-            for path in paths:
-                times, logj = log_jacobian_cumulative(
-                    spec, path, xs, t, div_step=div_step
-                )
-                dlog = (logj[:, 2:] - logj[:, :-2]) / (2.0 * h)
-                space = np.trapezoid(dlog**2, dx=h, axis=1)
-                acc += float(np.trapezoid(space, dx=path.dt))
+            for value in _integrate_rows(space.T, paths[0].dt):
+                acc += float(value)
             rows.append(
                 {"gamma": float(gamma), "eps": float(eps), "estimate": acc / len(paths)}
             )
@@ -536,12 +537,14 @@ _MAGIC = b"TLFL"
 
 
 def ensemble_to_binary(ens: FlowEnsemble, fileobj):
-    """Compact dump: magic 'TLFL', version u32, then n_times, n_points, d as
-    little-endian u32, then times, initial points and states as row-major
-    little-endian float64."""
+    """Compact dump, version 2: magic 'TLFL', then version, n_times, n_points,
+    d and the lattice rank r as little-endian u32, the r lattice sizes as u32
+    and the r spacings as f64, then times, initial points and states as
+    row-major little-endian float64."""
     m, n, d = ens.states.shape
+    r = len(ens.lattice_shape)
     fileobj.write(_MAGIC)
-    fileobj.write(struct.pack("<IIII", 1, m, n, d))
+    fileobj.write(struct.pack(f"<IIIII{r}I{r}d", 2, m, n, d, r, *ens.lattice_shape, *ens.spacing))
     fileobj.write(np.ascontiguousarray(ens.times, dtype="<f8").tobytes())
     fileobj.write(np.ascontiguousarray(ens.initial, dtype="<f8").tobytes())
     fileobj.write(np.ascontiguousarray(ens.states, dtype="<f8").tobytes())
@@ -555,22 +558,35 @@ def _read_exact(fileobj, size):
 
 
 def ensemble_from_binary(fileobj):
+    """Read a version 2 dump, or a version 1 dump (no lattice header: a 1-d
+    lattice with the spacing of the first two points)."""
     if fileobj.read(4) != _MAGIC:
         raise FlowError("not an ensemble dump")
     version, m, n, d = struct.unpack("<IIII", _read_exact(fileobj, 16))
-    if version != 1:
-        raise FlowError(f"unsupported ensemble dump version {version} (expected 1)")
+    if version not in (1, 2):
+        raise FlowError(f"unsupported ensemble dump version {version} (expected 1 or 2)")
     if min(m, n, d) == 0:
         raise FlowError(f"empty ensemble dump: {m} times, {n} points, d={d}")
+    if version == 2:
+        (r,) = struct.unpack("<I", _read_exact(fileobj, 4))
+        if r not in (1, 2):
+            raise FlowError(f"lattice rank {r} in the dump is not 1 or 2")
+        lattice_shape = struct.unpack(f"<{r}I", _read_exact(fileobj, 4 * r))
+        spacing = struct.unpack(f"<{r}d", _read_exact(fileobj, 8 * r))
+        if int(np.prod(lattice_shape)) != n:
+            raise FlowError(f"lattice shape {lattice_shape} does not hold {n} points")
     times = np.frombuffer(_read_exact(fileobj, 8 * m), dtype="<f8")
     initial = np.frombuffer(_read_exact(fileobj, 8 * n * d), dtype="<f8").reshape(n, d)
     states = np.frombuffer(_read_exact(fileobj, 8 * m * n * d), dtype="<f8").reshape(m, n, d)
+    if version == 1:
+        lattice_shape = (n,)
+        spacing = (float(initial[1, 0] - initial[0, 0]) if n > 1 else 0.0,)
     return FlowEnsemble(
         path=None,
         start=float(times[0]),
         times=times,
         initial=initial,
         states=states,
-        lattice_shape=(n,),
-        spacing=(float(initial[1, 0] - initial[0, 0]) if n > 1 else 0.0,),
+        lattice_shape=lattice_shape,
+        spacing=spacing,
     )

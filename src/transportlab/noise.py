@@ -13,13 +13,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .drift import bump_value, bump_derivative, _gauss_nodes
+from .drift import bump_value, bump_derivative, _bump_mass, _fields_equal, _gauss_nodes
 
 __all__ = [
     "BrownianPath",
     "SmoothedPath",
     "BumpKernel",
     "sample_brownian",
+    "sample_increments",
+    "stacked_increments",
     "zero_path",
     "path_from_increments",
     "evaluate",
@@ -56,13 +58,7 @@ class BrownianPath:
         np.cumsum(inc, axis=0, out=w[1:])
         object.__setattr__(self, "_grid", w)
 
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return (
-            (self.dt, self.seed, self.stream_id) == (other.dt, other.seed, other.stream_id)
-            and np.array_equal(self.increments, other.increments)
-        )
+    __eq__ = _fields_equal
 
     def __hash__(self):
         return hash((self.dt, self.seed, self.stream_id, self.increments.shape))
@@ -98,33 +94,37 @@ def _philox(seed, stream_id):
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def sample_brownian(seed, stream_id, d, T, dt):
-    """Sample one path; identical (seed, stream_id) give bit-identical output."""
+def sample_increments(seed, d, T, dt, n_paths, stream_offset=0):
+    """Increments of streams [offset, offset + n_paths) as (n_steps, n_paths, d).
+
+    Philox is counter-based, so column j is the draw of stream offset + j
+    alone, whatever other streams are sampled beside it.
+    """
+    if n_paths < 1:
+        raise NoiseError(f"need at least one path, got n_paths={n_paths}")
     if T <= 0 or dt <= 0 or dt > T:
         raise NoiseError("need 0 < dt <= T")
-    n = int(round(T / dt))
-    if abs(n * dt - T) > 4.0 * np.spacing(T):
-        raise NoiseError(f"dt={dt} does not divide T={T}; grids must align")
-    rng = _philox(seed, stream_id)
-    inc = rng.standard_normal((n, d)) * np.sqrt(dt)
-    return BrownianPath(dt=dt, increments=inc, seed=seed, stream_id=stream_id)
-
-
-def sample_increments(seed, d, T, dt, n_paths, stream_offset=0):
-    """Increments for streams [offset, offset + n_paths) as (n_steps, n_paths, d).
-
-    Column j equals sample_brownian(seed, offset + j, ...).increments exactly;
-    used by ensemble experiments to integrate all members at once.
-    """
     n = int(round(T / dt))
     if abs(n * dt - T) > 4.0 * np.spacing(T):
         raise NoiseError(f"dt={dt} does not divide T={T}; grids must align")
     out = np.empty((n, n_paths, d))
     root = np.sqrt(dt)
     for j in range(n_paths):
-        rng = _philox(seed, stream_offset + j)
-        out[:, j, :] = rng.standard_normal((n, d)) * root
+        out[:, j, :] = _philox(seed, stream_offset + j).standard_normal((n, d)) * root
     return out
+
+
+def sample_brownian(seed, stream_id, d, T, dt):
+    """Sample one path; identical (seed, stream_id) give bit-identical output."""
+    inc = sample_increments(seed, d, T, dt, 1, stream_offset=stream_id)[:, 0, :]
+    return BrownianPath(dt=dt, increments=inc, seed=seed, stream_id=stream_id)
+
+
+def stacked_increments(paths):
+    """Increments of paths on one grid as (n_steps, n_paths, d), in path order."""
+    if len({(p.dt, p.increments.shape) for p in paths}) != 1:
+        raise NoiseError("need one or more paths that share dt, step count and dimension")
+    return np.stack([p.increments for p in paths], axis=1)
 
 
 def zero_path(d, T, dt):
@@ -175,20 +175,10 @@ class BumpKernel:
     """Smooth non-negative profile with support (-1, 1) and unit integral."""
 
     def value(self, u):
-        return bump_value(u) / _bump_mass_1d()
+        return bump_value(u) / _bump_mass(1)
 
     def derivative(self, u):
-        return bump_derivative(u) / _bump_mass_1d()
-
-
-_MASS_1D = []
-
-
-def _bump_mass_1d():
-    if not _MASS_1D:
-        u, w = _gauss_nodes(200)
-        _MASS_1D.append(float(np.sum(w * bump_value(u))))
-    return _MASS_1D[0]
+        return bump_derivative(u) / _bump_mass(1)
 
 
 @dataclass(frozen=True)

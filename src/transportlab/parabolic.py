@@ -21,8 +21,9 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import solve_banded
 
-from .drift import Drift
+from .drift import Drift, _fields_equal
 from . import flow as _flow
+from . import noise as _noise
 
 __all__ = [
     "SpaceTimeField",
@@ -58,16 +59,7 @@ class SpaceTimeField:
         if not np.all(np.isfinite(self.values)):
             raise ParabolicError("field contains non-finite values")
 
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return (
-            (self.bc, self.notes) == (other.bc, other.notes)
-            and all(
-                np.array_equal(a, b)
-                for a, b in ((self.xs, other.xs), (self.ts, other.ts), (self.values, other.values))
-            )
-        )
+    __eq__ = _fields_equal
 
     @property
     def h(self):
@@ -436,36 +428,41 @@ def integrate_conjugated(transform: ZvonkinTransform, path, x0, s=0.0, t=None):
 # the auxiliary-function identity for time averages along the diffusion
 
 
-def ito_tanaka_check(spec: Drift, f, path, x0, L, n_x, n_t, t=None, F=None, DF=None):
+def ito_tanaka_check(spec: Drift, f, paths, x0, L, n_x, n_t, t=None, F=None, DF=None):
     """Residual of int_0^t f(s, X_s) ds = F(t, X_t) - F(0, x) - int DF . dW.
 
     F solves the terminal-value problem with l = b on the same horizon; the
     left side uses trapezoid quadrature along the trajectory and the Ito
-    integral uses left-point sums of the interpolated DF.  Pass a precomputed
-    (F, DF) pair when checking many paths against the same drift.
+    integral uses left-point sums of the interpolated DF.  All paths of
+    ``paths`` are marched at once and share one (F, DF) pair, which may be
+    passed in precomputed.  Returns one report per path, in path order.
     """
     if t is None:
-        t = path.T
+        t = paths[0].T
     if F is None:
         F = solve_terminal_value(spec, f, L, n_x, n_t, T=t)
-    traj = _flow.integrate_sde(spec, path, x0, 0.0, t)
-    xs = traj.states[:, 0]
-    if np.max(np.abs(xs)) > L:
-        k = int(np.argmax(np.abs(xs) > L))
-        raise ParabolicError(
-            f"trajectory exits [-{L}, {L}] at t={traj.times[k]:.6g}; enlarge L"
-        )
+    kt = paths[0].index_of(t, "t")
+    dt = paths[0].dt
+    inc = _noise.stacked_increments(paths)[:kt, :, 0]
+    x0 = float(np.atleast_1d(x0)[0])
+    xs = _flow.march(spec, inc[:, :, None], [x0], dt, 0, kt, record=True)[..., 0]
+    times = dt * np.arange(kt + 1)
+    out = np.abs(xs) > L
+    if np.any(out):
+        k = int(np.argmax(out[:, np.argmax(out.any(axis=0))]))  # first path to exit
+        raise ParabolicError(f"trajectory exits [-{L}, {L}] at t={times[k]:.6g}; enlarge L")
     if spec.time_dependent:
-        fvals = np.array(
-            [float(np.asarray(f(tt, np.atleast_1d(x))).reshape(-1)[0])
-             for tt, x in zip(traj.times, xs)]
-        )
+        fvals = np.array([np.asarray(f(tt, x), dtype=float) for tt, x in zip(times, xs)])
     else:
         fvals = np.asarray(f(0.0, xs), dtype=float)
-    lhs = float(np.trapezoid(fvals, dx=path.dt))
+    lhs = _flow._integrate_rows(fvals.T, dt)
     if DF is None:
         DF = F.x_derivative()
-    dfvals = DF.interpolate_pairs(traj.times[:-1], xs[:-1])
-    ito = float(np.sum(dfvals * path.increments[: len(dfvals), 0]))
-    rhs = float(F.interpolate(t, xs[-1]) - F.interpolate(0.0, np.atleast_1d(x0)[0]) - ito)
-    return {"lhs": lhs, "rhs": rhs, "residual": abs(lhs - rhs)}
+    dfvals = DF.interpolate_pairs(times[:-1, None], xs[:-1])
+    # per-path sums run along contiguous rows, in a single path's order
+    ito = np.sum(np.ascontiguousarray((dfvals * inc).T), axis=-1)
+    rhs = F.interpolate(t, xs[-1]) - F.interpolate(0.0, x0) - ito
+    return [
+        {"lhs": float(a), "rhs": float(b), "residual": abs(float(a) - float(b))}
+        for a, b in zip(lhs, rhs)
+    ]

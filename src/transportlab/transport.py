@@ -25,7 +25,7 @@ import numpy as np
 
 from . import flow as _flow
 from . import noise as _noise
-from .drift import Drift, HolderPowerDrift, Mollifier
+from .drift import Drift, HolderPowerDrift, Mollifier, _fields_equal
 
 __all__ = [
     "StepDatum",
@@ -41,7 +41,6 @@ __all__ = [
     "CommutatorReport",
     "solve_by_characteristics",
     "deterministic_family",
-    "holder_branch",
     "perturbative_residual",
     "weak_residual_ito",
     "commutator",
@@ -99,6 +98,11 @@ class SmoothBumpDatum:
 class GridSampledDatum:
     xs: np.ndarray
     values: np.ndarray
+
+    __eq__ = _fields_equal
+
+    def __hash__(self):
+        return hash(self.values.shape)
 
     def __call__(self, x):
         return np.interp(np.asarray(x, dtype=float), self.xs, self.values)
@@ -256,8 +260,9 @@ class CharacteristicsSolution:
         jumps = list(getattr(u0, "discontinuities", ()))
         self.ens = _flow.forward_flow(spec, path, grid, 0.0, [t_max])
         if jumps:
-            _, jstates = _flow._euler_many(
-                spec, path, np.asarray(jumps, dtype=float)[:, None], 0.0, t_max
+            jstates = _flow.march(
+                spec, path.increments, np.asarray(jumps, dtype=float)[:, None],
+                path.dt, 0, path.index_of(t_max, "t"), record=True,
             )
             self._jumps = jstates[:, :, 0]
         else:
@@ -283,10 +288,8 @@ def solve_by_characteristics(spec, path, u0, t, x_grid, route="grid", ens=None, 
     x_grid = np.asarray(x_grid, dtype=float)
     if route == "backward":
         k_t = path.index_of(t)
-        pre = _flow.backward_batch(
-            spec, path.increments[:, None, :], path.dt, x_grid[:, None], 0, k_t
-        )[:, 0]
-        return u0(pre)
+        pre = _flow.march(spec, path.increments, x_grid[:, None], path.dt, 0, k_t, backward=True)
+        return u0(pre[:, 0])
     if ens is None:
         w = _noise.grid_values(path)[:, 0]
         reach = spec.sup_norm(radius=float(np.max(np.abs(x_grid))) + margin) * t
@@ -300,11 +303,6 @@ def solve_by_characteristics(spec, path, u0, t, x_grid, route="grid", ens=None, 
 
 # ---------------------------------------------------------------------------
 # the deterministic non-unique family for the power-law drift
-
-
-def holder_branch(gamma, cap, t):
-    """x_+(t): the extremal characteristic leaving the origin."""
-    return _flow.holder_extremal_branch(gamma, cap, t)
 
 
 def _time_from_origin(gamma, cap, z):
@@ -341,7 +339,7 @@ def deterministic_family(gamma, cap, u0, gamma_plus, gamma_minus, t, x):
     if t <= 0:
         raise TransportError("family is defined for t > 0")
     x = np.asarray(x, dtype=float)
-    xp = float(holder_branch(gamma, cap, t))
+    xp = float(_flow.holder_extremal_branch(gamma, cap, t))
     t0 = t - _time_from_origin(gamma, cap, np.abs(x))
     gp = np.vectorize(gamma_plus, otypes=[float])
     gm = np.vectorize(gamma_minus, otypes=[float])
@@ -380,7 +378,7 @@ class DeterministicFamilySolution:
     def discontinuities(self, s):
         if s <= 0.0:
             return tuple(getattr(self.u0, "discontinuities", ()))
-        xp = float(holder_branch(self.gamma, self.cap, s))
+        xp = float(_flow.holder_extremal_branch(self.gamma, self.cap, s))
         return (-xp, 0.0, xp)
 
 
@@ -778,7 +776,7 @@ def uniqueness_gap_experiment(
             perturbative_residual(m, spec, theta, zero, t, n_x=n_x, n_s=n_s)
             for m in members
         ]
-        xp = float(holder_branch(gamma, cap, t))
+        xp = float(_flow.holder_extremal_branch(gamma, cap, t))
         probe = np.linspace(-0.95 * xp, 0.95 * xp, 101)
         fields = [m(t, probe) for m in members]
         gaps = [

@@ -9,47 +9,47 @@ from transportlab import parabolic as pa
 
 def test_holder_power_values():
     b = dr.HolderPowerDrift(gamma=0.5, cap=2.0, signed=True)
-    assert dr.eval_drift(b, 0.0, 1.0) == pytest.approx(2.0, abs=0)
+    assert b.value(0.0, 1.0) == pytest.approx(2.0, abs=0)
     # cap active and sign factor: -(1/0.5) * 2^0.5
-    assert dr.eval_drift(b, 0.0, -9.0) == pytest.approx(-2.0 * np.sqrt(2.0), rel=1e-12)
+    assert b.value(0.0, -9.0) == pytest.approx(-2.0 * np.sqrt(2.0), rel=1e-12)
     unsigned = dr.HolderPowerDrift(gamma=0.5, cap=2.0, signed=False)
-    assert dr.eval_drift(unsigned, 0.0, -9.0) == pytest.approx(2.0 * np.sqrt(2.0), rel=1e-12)
+    assert unsigned.value(0.0, -9.0) == pytest.approx(2.0 * np.sqrt(2.0), rel=1e-12)
 
 
 def test_zero_drift_everywhere():
     z = dr.ZeroDrift(dim=2)
-    out = dr.eval_drift(z, 0.3, np.array([[1.0, -2.0], [0.5, 4.0]]))
+    out = z.value(0.3, np.array([[1.0, -2.0], [0.5, 4.0]]))
     assert np.all(out == 0.0)
 
 
 def test_divergences_analytic():
     rot = dr.Rotation2DDrift(omega=1.0)
-    assert dr.eval_divergence(rot, 0.0, np.array([0.7, -1.1])) == 0.0
+    assert rot.divergence(0.0, np.array([0.7, -1.1])) == 0.0
     b = dr.HolderPowerDrift(gamma=0.5, cap=2.0)
-    assert dr.eval_divergence(b, 0.0, 1.0) == pytest.approx(1.0, rel=1e-12)
+    assert b.divergence(0.0, 1.0) == pytest.approx(1.0, rel=1e-12)
     lin = dr.LinearDrift(matrix=[[1.0, 2.0], [0.0, 3.0]])
-    assert dr.eval_divergence(lin, 0.0, np.array([5.0, -3.0])) == pytest.approx(4.0)
+    assert lin.divergence(0.0, np.array([5.0, -3.0])) == pytest.approx(4.0)
 
 
 def test_divergence_error_modes():
     b = dr.HolderPowerDrift(gamma=0.5, cap=2.0)
     with pytest.raises(dr.DriftError):
-        dr.eval_divergence(b, 0.0, 1.0, h=0.0)
+        b.divergence(0.0, 1.0, h=0.0)
     with pytest.raises(dr.DriftError):
-        dr.eval_divergence(b, 0.0, 0.0, mode="analytic")
+        b.divergence(0.0, 0.0, mode="analytic")
     # the centered stencil stays finite at the singularity
-    v = dr.eval_divergence(b, 0.0, 0.0, h=1e-4, mode="fd")
+    v = b.divergence(0.0, 0.0, h=1e-4, mode="fd")
     assert np.isfinite(v) and v > 0
 
 
 def test_mollify_trivial_cases():
     z = dr.mollify_drift(dr.ZeroDrift(), 0.1)
-    assert dr.eval_drift(z, 0.0, 0.37) == 0.0
+    assert z.value(0.0, 0.37) == 0.0
     lin = dr.mollify_drift(dr.LinearDrift(matrix=[[2.0]]), 0.3)
     # symmetric kernel reproduces affine fields exactly
-    assert dr.eval_drift(lin, 0.0, 0.7) == pytest.approx(1.4, abs=1e-14)
+    assert lin.value(0.0, 0.7) == pytest.approx(1.4, abs=1e-14)
     hp = dr.mollify_drift(dr.HolderPowerDrift(gamma=0.5, cap=2.0), 0.05)
-    assert abs(dr.eval_drift(hp, 0.0, 0.0)) < 1e-15  # odd field, even kernel
+    assert abs(hp.value(0.0, 0.0)) < 1e-15  # odd field, even kernel
 
 
 def test_mollify_quad_points_floor():
@@ -73,7 +73,7 @@ def test_mollify_uniform_convergence_monotone():
 def test_mollified_rotation_divergence_free():
     rot = dr.mollify_drift(dr.Rotation2DDrift(omega=1.3), 0.1, 24)
     pts = np.array([[0.0, 0.0], [0.5, -0.25], [1.0, 2.0]])
-    assert np.max(np.abs(dr.eval_divergence(rot, 0.0, pts))) < 1e-8
+    assert np.max(np.abs(rot.divergence(0.0, pts))) < 1e-8
 
 
 def test_mollified_divergence_bounded_small_gamma():
@@ -129,31 +129,31 @@ def test_holder_seminorm_monotone_in_pairs():
 def test_eval_drift_is_pure(gamma, x, t):
     a = dr.HolderPowerDrift(gamma=gamma, cap=2.0)
     b = dr.HolderPowerDrift(gamma=gamma, cap=2.0)
-    va = dr.eval_drift(a, t, x)
-    vb = dr.eval_drift(b, t, x)
-    assert va == vb == dr.eval_drift(a, t, x)
+    va = a.value(t, x)
+    vb = b.value(t, x)
+    assert va == vb == a.value(t, x)
 
 
 def test_dimension_mismatch_raises():
     rot = dr.Rotation2DDrift()
     with pytest.raises(dr.DriftError):
-        dr.eval_drift(rot, 0.0, np.array([1.0, 2.0, 3.0]))
+        rot.value(0.0, np.array([1.0, 2.0, 3.0]))
     with pytest.raises(dr.DriftError):
-        dr.eval_drift(dr.ZeroDrift(), 0.0, np.array([np.inf]))
+        dr.ZeroDrift().value(0.0, np.array([np.inf]))
 
 
 def test_random_shift_requires_path():
     rs = dr.RandomShiftSqrtDrift()
     with pytest.raises(dr.DriftError):
-        dr.eval_drift(rs, 0.1, 0.5)
+        rs.value(0.1, 0.5)
     from transportlab import noise as nz
 
     p = nz.sample_brownian(1, 0, 1, 1.0, 1 / 64)
     attached = rs.attach(p)
     w = nz.evaluate(p, 0.5)[0]
-    assert dr.eval_drift(attached, 0.5, 0.5) == pytest.approx(np.sqrt(abs(0.5 - w)))
+    assert attached.value(0.5, 0.5) == pytest.approx(np.sqrt(abs(0.5 - w)))
     with pytest.raises(Exception):
-        dr.eval_drift(attached, 2.0, 0.5)  # outside the attached path's range
+        attached.value(2.0, 0.5)  # outside the attached path's range
 
 
 def test_mollifier_normalization_and_support():

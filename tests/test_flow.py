@@ -185,7 +185,8 @@ def test_jacobian_linear_oracle():
     grid = np.linspace(-1, 1, 257)
     ens = fl.forward_flow(lin, zp, grid, 0.0, [0.5])
     assert fl.jacobian_fd(ens, 128, 0.5) == pytest.approx(np.exp(a * 0.5), rel=1e-3)
-    assert fl.jacobian_logdiv(lin, zp, [0.0], 0.5) == pytest.approx(a * 0.5, rel=1e-12)
+    tr = fl.integrate_sde(lin, zp, 0.0, 0.0, 0.5)
+    assert fl.jacobian_logdiv(lin, tr.times, tr.states, zp.dt) == pytest.approx(a * 0.5, rel=1e-12)
 
 
 def test_jacobian_boundary_raises(path):
@@ -198,7 +199,8 @@ def test_jacobian_boundary_raises(path):
 def test_jacobian_logdiv_divergence_free():
     rot = dr.Rotation2DDrift(omega=1.0)
     p2 = nz.sample_brownian(4, 0, 2, 0.5, 2**-8)
-    assert fl.jacobian_logdiv(rot, p2, [0.3, 0.1], 0.5) == 0.0
+    tr = fl.integrate_sde(rot, p2, [0.3, 0.1], 0.0, 0.5)
+    assert fl.jacobian_logdiv(rot, tr.times, tr.states, p2.dt) == 0.0
 
 
 def test_jacobian_routes_cross_validate():
@@ -207,19 +209,19 @@ def test_jacobian_routes_cross_validate():
     xs = np.linspace(-0.5, 0.5, 257)
     ens = fl.forward_flow(spec, p, xs, 0.0, [0.5])
     jfd = fl.jacobian_fd(ens, 128, 0.5)
-    jld = fl.jacobian_logdiv(spec, p, [xs[128]], 0.5)
+    jld = fl.jacobian_logdiv(spec, ens.times, ens.states[:, 128], p.dt)
     assert abs(np.exp(jld) - jfd) / jfd < 5e-2
 
 
 def test_uniqueness_probe(path):
     h = dr.HolderPowerDrift(gamma=0.5, cap=2.0)
-    rep = fl.pathwise_uniqueness_probe(h, path, 0.0, [1e-2, 1e-3, 1e-4], 1.0)
-    seps = [r["separation_at_t"] for r in rep.rows]
+    rep = fl.pathwise_uniqueness_probe(h, [path], 0.0, [1e-2, 1e-3, 1e-4], 1.0)
+    seps = [r["separation_at_t"][0] for r in rep.rows]
     assert seps[0] > seps[1] > seps[2] > 0
     assert rep.extremal_separation == pytest.approx(2.0, abs=1e-12)
     # translations: zero drift keeps the offset exactly
-    rep0 = fl.pathwise_uniqueness_probe(dr.ZeroDrift(), path, 0.0, [1e-2], 1.0)
-    assert rep0.rows[0]["separation_at_t"] == pytest.approx(1e-2, abs=1e-15)
+    rep0 = fl.pathwise_uniqueness_probe(dr.ZeroDrift(), [path], 0.0, [1e-2], 1.0)
+    assert rep0.rows[0]["separation_at_t"][0] == pytest.approx(1e-2, abs=1e-15)
     assert rep0.extremal_separation is None
 
 
@@ -269,6 +271,7 @@ def test_ensemble_exports(path):
     assert np.array_equal(again.times, ens.times)
     assert np.array_equal(again.initial, ens.initial)
     assert again.start == ens.start
+    assert again.lattice_shape == ens.lattice_shape and again.spacing == ens.spacing
 
     data = raw.getvalue()
     with pytest.raises(fl.FlowError, match="version 9"):
@@ -319,3 +322,146 @@ def test_measure_preservation_fine_lattice():
         for j in range(1, n - 1, 8)
     )
     assert worst < 1e-6
+
+
+def test_ensemble_binary_keeps_2d_lattice():
+    rot = dr.Rotation2DDrift(omega=0.5)
+    p2 = nz.sample_brownian(3, 0, 2, 0.25, 2**-6)
+    side = np.linspace(-1, 1, 4)
+    lattice = np.stack(np.meshgrid(side, side, indexing="ij"), axis=-1)
+    ens = fl.forward_flow(rot, p2, lattice, 0.0, [0.25])
+    raw = io.BytesIO()
+    fl.ensemble_to_binary(ens, raw)
+    again = fl.ensemble_from_binary(io.BytesIO(raw.getvalue()))
+    assert again.lattice_shape == (4, 4) and again.spacing == ens.spacing
+    assert fl.jacobian_fd(again, (1, 1), 0.25) == fl.jacobian_fd(ens, (1, 1), 0.25)
+    # version 1 dumps carry no lattice header and still load, as a 1-d lattice
+    m, n, d = ens.states.shape
+    arrays = (ens.times, ens.initial, ens.states)
+    v1 = b"TLFL" + struct.pack("<IIII", 1, m, n, d) + b"".join(
+        np.ascontiguousarray(a, dtype="<f8").tobytes() for a in arrays
+    )
+    old = fl.ensemble_from_binary(io.BytesIO(v1))
+    assert old.lattice_shape == (16,) and np.array_equal(old.states, ens.states)
+    # a lattice header that does not hold the stored points
+    data = raw.getvalue()
+    with pytest.raises(fl.FlowError, match="does not hold 16 points"):
+        fl.ensemble_from_binary(io.BytesIO(data[:24] + struct.pack("<II", 4, 5) + data[32:]))
+    with pytest.raises(fl.FlowError, match="lattice rank 7"):
+        fl.ensemble_from_binary(io.BytesIO(data[:20] + struct.pack("<I", 7) + data[24:]))
+
+
+def test_flow_objects_compare_by_value(path):
+    grid = np.linspace(-1, 1, 5)
+    a = fl.forward_flow(dr.ZeroDrift(), path, grid, 0.0, [1.0])
+    b = fl.forward_flow(dr.ZeroDrift(), path, grid, 0.0, [1.0])
+    assert a == b and hash(a) == hash(b)
+    assert a != fl.forward_flow(dr.ZeroDrift(), path, grid + 0.5, 0.0, [1.0])
+    assert a != fl.forward_flow(dr.ZeroDrift(), path, grid, 0.0, [0.5])
+    s = fl.integrate_sde(dr.ZeroDrift(), path, 0.3, 0.0, 0.5)
+    t = fl.integrate_sde(dr.ZeroDrift(), path, 0.3, 0.0, 0.5)
+    assert s == t and hash(s) == hash(t)
+    assert s != fl.integrate_sde(dr.ZeroDrift(), path, 0.4, 0.0, 0.5)
+    assert s != a
+
+
+# ---------------------------------------------------------------------------
+# one-path-at-a-time oracles: the march loops that flow.march replaced
+
+
+def _euler_many_oracle(spec, increments, X0, dt, k0, k1):
+    X = np.array(X0, dtype=float)
+    states = np.empty((k1 - k0 + 1,) + X.shape)
+    states[0] = X
+    for k in range(k0, k1):
+        bval = spec.value(k * dt, X)
+        X = X + bval * dt + increments[k]
+        states[k - k0 + 1] = X
+    return states
+
+
+def _backward_batch_oracle(spec, increments, dt, Y, s_idx, t_idx, record=False):
+    Z = (np.asarray(Y, dtype=float) + np.zeros(increments.shape[1:])).astype(float)
+    states = [Z]
+    for k in range(t_idx, s_idx, -1):
+        Z = Z - spec.value(k * dt, Z) * dt - increments[k - 1]
+        states.append(Z)
+    return np.array(states[::-1]) if record else Z
+
+
+@pytest.mark.parametrize(
+    "spec, d",
+    [
+        pytest.param(dr.HolderPowerDrift(gamma=0.5, cap=2.0), 1, id="holder"),
+        pytest.param(dr.mollify_drift(dr.HolderPowerDrift(gamma=0.7, cap=2.0), 0.05), 1,
+                     id="mollified-holder"),
+        pytest.param(dr.LinearDrift(matrix=[[-0.8]]), 1, id="linear"),
+        pytest.param(dr.Rotation2DDrift(omega=0.9), 2, id="rotation2d"),
+    ],
+)
+def test_march_matches_one_path_oracles_bitwise(spec, d):
+    dt, k0, k1, n_paths = 2**-7, 3, 100, 5
+    inc = nz.sample_increments(4, d, 1.0, dt, n_paths)
+    X0 = np.linspace(-1.5, 1.5, 9 * d).reshape(9, d)
+    batch = inc[:, :, None, :]  # (steps, paths, points, d)
+    fwd = fl.march(spec, batch, X0, dt, k0, k1, record=True)
+    fwd_end = fl.march(spec, batch, X0, dt, k0, k1)
+    bwd = fl.march(spec, batch, X0, dt, k0, k1, backward=True, record=True)
+    bwd_end = fl.march(spec, batch, X0, dt, k0, k1, backward=True)
+    assert fwd.shape == bwd.shape == (k1 - k0 + 1, n_paths, 9, d)
+    for j in range(n_paths):
+        oracle = _euler_many_oracle(spec, inc[:, j], X0, dt, k0, k1)
+        assert np.array_equal(fwd[:, j], oracle)
+        assert np.array_equal(fwd_end[j], oracle[-1])
+        back = _backward_batch_oracle(spec, inc[:, j], dt, X0, k0, k1, record=True)
+        assert np.array_equal(bwd[:, j], back)
+        assert np.array_equal(bwd_end[j], _backward_batch_oracle(spec, inc[:, j], dt, X0, k0, k1))
+        assert np.array_equal(bwd[-1, j], X0)
+
+
+def test_march_rejects_bad_step_range():
+    inc = np.zeros((8, 1))
+    for k0, k1 in ((3, 2), (-1, 4), (0, 9)):
+        with pytest.raises(fl.FlowError, match="k0"):
+            fl.march(dr.ZeroDrift(), inc, [0.0], 0.125, k0, k1)
+
+
+def _logdiv_oracle(spec, path, x, t, div_step=1e-5):
+    states = _euler_many_oracle(spec, path.increments, [[x]], path.dt, 0, path.index_of(t))
+    vals = spec.divergence(0.0, states[:, 0], h=div_step)
+    return float(np.trapezoid(vals, dx=path.dt))
+
+
+def _log_jacobian_cumulative_oracle(spec, path, xs, t, div_step=1e-5):
+    states = _euler_many_oracle(spec, path.increments, xs[:, None], path.dt, 0, path.index_of(t))
+    times = path.dt * np.arange(len(states))
+    vals = np.empty((len(times), len(xs)))
+    for k, tt in enumerate(times):
+        vals[k] = spec.divergence(tt, states[k], h=div_step)
+    out = np.zeros_like(vals)
+    np.cumsum(0.5 * (vals[1:] + vals[:-1]) * path.dt, axis=0, out=out[1:])
+    return out
+
+
+def test_batched_jacobian_probes_match_per_path_oracles_bitwise():
+    # per-path time integrals of a batch must sum in a single path's order
+    spec = dr.mollify_drift(dr.HolderPowerDrift(gamma=0.25, cap=2.0), 0.05)
+    paths = [nz.sample_brownian(13, j, 1, 0.5, 2**-9) for j in range(4)]
+    dt, kt = paths[0].dt, paths[0].index_of(0.5)
+    inc = nz.stacked_increments(paths)[:, :, None, :]
+    traj = fl.march(spec, inc, [[0.1]], dt, 0, kt, record=True)[:, :, 0]
+    batch = fl.jacobian_logdiv(spec, dt * np.arange(kt + 1), traj, dt)
+    assert np.array_equal(batch, [_logdiv_oracle(spec, p, 0.1, 0.5) for p in paths])
+
+    rows = fl.sobolev_jacobian_probe([0.25, 0.75], [0.025], paths, 0.5, n_x=32, t=0.5)
+    xs = np.linspace(-0.5, 0.5, 33)
+    h = xs[1] - xs[0]
+    for row in rows:
+        spec = dr.mollify_drift(dr.HolderPowerDrift(gamma=row["gamma"], cap=2.0), row["eps"])
+        acc = 0.0
+        for p in paths:
+            logj = _log_jacobian_cumulative_oracle(spec, p, xs, 0.5)
+            dlog = (logj[:, 2:] - logj[:, :-2]) / (2.0 * h)
+            space = np.trapezoid(dlog**2, dx=h, axis=1)
+            acc += float(np.trapezoid(space, dx=p.dt))
+        assert row["estimate"] == acc / len(paths)

@@ -40,10 +40,27 @@ def test_coordinate_independence():
 
 
 def test_batch_increments_match_streams():
-    batch = nz.sample_increments(9, 1, 1.0, 1 / 128, 4, stream_offset=2)
+    batch = nz.sample_increments(9, 2, 1.0, 1 / 128, 4, stream_offset=2)
     for j in range(4):
-        single = nz.sample_brownian(9, 2 + j, 1, 1.0, 1 / 128)
-        assert np.array_equal(batch[:, j, :], single.increments)
+        rng = np.random.Generator(np.random.Philox(key=[9, 2 + j]))
+        assert np.array_equal(batch[:, j, :], rng.standard_normal((128, 2)) * np.sqrt(1 / 128))
+        single = nz.sample_brownian(9, 2 + j, 2, 1.0, 1 / 128)
+        assert np.array_equal(single.increments, batch[:, j, :])
+    paths = [nz.sample_brownian(9, 2 + j, 2, 1.0, 1 / 128) for j in range(4)]
+    assert np.array_equal(nz.stacked_increments(paths), batch)
+
+
+def test_noise_arguments_checked_in_one_place():
+    assert "sample_increments" in nz.__all__
+    # n_paths < 1, T <= 0, dt <= 0, dt > T
+    for args in [(1, 1, 1.0, 0.1, 0), (1, 1, 1.0, 0.1, -1), (1, 1, 0.0, 0.1, 1),
+                 (1, 1, 1.0, 0.0, 1), (1, 1, 1.0, -0.1, 1), (1, 1, 1.0, 2.0, 1)]:
+        with pytest.raises(nz.NoiseError):
+            nz.sample_increments(*args)
+    with pytest.raises(nz.NoiseError):
+        nz.sample_brownian(1, 0, 1, 1.0, -0.5)
+    with pytest.raises(nz.NoiseError, match="share dt"):
+        nz.stacked_increments([nz.zero_path(1, 1.0, 0.25), nz.zero_path(1, 1.0, 0.5)])
 
 
 def test_evaluate_interpolation():

@@ -187,18 +187,18 @@ def test_grad_decay_slope_bracket():
 
 def test_ito_tanaka_constant_integrand():
     path = nz.sample_brownian(2, 5, 1, 1.0, 2**-10)
-    rep = pb.ito_tanaka_check(dr.ZeroDrift(), const_f(2.5), path, 0.1, L=8.0, n_x=512, n_t=128)
+    (rep,) = pb.ito_tanaka_check(dr.ZeroDrift(), const_f(2.5), [path], 0.1, L=8.0, n_x=512, n_t=128)
     assert rep["lhs"] == pytest.approx(2.5, rel=1e-12)
     assert rep["residual"] < 1e-10
 
-    rep0 = pb.ito_tanaka_check(dr.ZeroDrift(), const_f(0.0), path, 0.1, L=8.0, n_x=128, n_t=32)
+    (rep0,) = pb.ito_tanaka_check(dr.ZeroDrift(), const_f(0.0), [path], 0.1, L=8.0, n_x=128, n_t=32)
     assert rep0["lhs"] == 0.0 and rep0["rhs"] == 0.0
 
 
 def test_ito_tanaka_exit_raises():
     path = nz.sample_brownian(2, 5, 1, 1.0, 2**-8)
     with pytest.raises(pb.ParabolicError, match="enlarge L"):
-        pb.ito_tanaka_check(dr.ZeroDrift(), const_f(1.0), path, 0.0, L=0.05, n_x=32, n_t=32)
+        pb.ito_tanaka_check(dr.ZeroDrift(), const_f(1.0), [path], 0.0, L=0.05, n_x=32, n_t=32)
 
 
 def test_field_interpolation_helpers():

@@ -77,7 +77,7 @@ def test_family_zero_functions():
 
 def test_family_tie_breaks():
     u0 = tp.StepDatum(0.0)
-    xp = tp.holder_branch(0.5, 2.0, 1.0)  # = 1
+    xp = fl.holder_extremal_branch(0.5, 2.0, 1.0)  # = 1
     fam = lambda x: tp.deterministic_family(
         0.5, 2.0, u0, lambda s: 0.25, lambda s: 0.75, 1.0, np.array([x])
     )[0]
@@ -91,7 +91,7 @@ def test_branch_capped_inverse():
     # once past the cap the flow is linear with slope b(R)
     gamma, cap = 0.5, 1.0
     t = 2.0
-    xp = float(tp.holder_branch(gamma, cap, t))  # 1 + (2-1)*2 = 3
+    xp = float(fl.holder_extremal_branch(gamma, cap, t))  # 1 + (2-1)*2 = 3
     assert xp == pytest.approx(1.0 + 1.0 * (cap**gamma / (1 - gamma)), rel=1e-12)
     y = xp + 0.5
     x0 = tp._phi_inverse_positive(gamma, cap, t, np.array([y]))[0]
@@ -446,3 +446,7 @@ def test_grid_sampled_datum():
     assert datum(0.0) == 0.5
     assert datum.sup_norm == 1.0
     assert datum.discontinuities == ()
+    same = tp.GridSampledDatum(xs=np.linspace(-1, 1, 5), values=np.array([0., 1., 0.5, 1., 0.]))
+    assert datum == same and hash(datum) == hash(same)
+    assert datum != tp.GridSampledDatum(xs=np.linspace(-1, 1, 5), values=np.zeros(5))
+    assert datum != tp.GridSampledDatum(xs=np.linspace(-1, 1, 3), values=np.zeros(3))
