@@ -1,9 +1,11 @@
 """Catalogue of drift fields b(t, x): evaluation, divergences, mollification.
 
 All drifts are pure values: evaluating one never mutates state, so instances
-can be shared freely across threads.  Points are numpy arrays whose last axis
-is the space dimension; for ``dim == 1`` any array shape is accepted and
-treated elementwise.
+can be shared freely across threads.  Points are numpy arrays of shape
+``(..., dim)`` in every dimension, 1-d included; ``value`` and ``divergence``
+check shape and finiteness once at entry and then evaluate through the
+variants' unchecked ``_value``, so a mollified drift does not re-check its
+points at every quadrature node.
 """
 
 from __future__ import annotations
@@ -196,18 +198,15 @@ class Drift:
     time_dependent: bool = False
 
     def value(self, t, x):
+        """b(t, x) at points x of shape (..., dim); the result has x's shape."""
+        return self._value(t, self._check_point(x))
+
+    def _value(self, t, x):
         raise NotImplementedError
 
     def divergence_analytic(self, t, x):
         """Analytic div b where defined; NaN marks points it is undefined at."""
-        return np.full(self._scalar_shape(x), np.nan)
-
-    def value_1d(self, t, x):
-        """Scalar evaluation for dim=1 drifts: x any shape, result same shape."""
-        if self.dim != 1:
-            raise DriftError("value_1d only applies to one-dimensional drifts")
-        x = np.asarray(x, dtype=float)
-        return self.value(t, x[..., None])[..., 0]
+        return np.full(x.shape[:-1], np.nan)
 
     def divergence(self, t, x, h=1e-5, mode="auto"):
         """div b(t, x) with step ``h`` for the centered-difference fallback.
@@ -219,7 +218,7 @@ class Drift:
         """
         if h <= 0:
             raise DriftError("finite-difference step h must be positive")
-        x = np.asarray(x, dtype=float)
+        x = self._check_point(x)
         if mode == "fd":
             return self._divergence_fd(t, x, h)
         ana = self.divergence_analytic(t, x)
@@ -235,36 +234,26 @@ class Drift:
         return np.where(bad, fd, ana)
 
     def _divergence_fd(self, t, x, h):
-        x = np.asarray(x, dtype=float)
-        if self.dim == 1 and (x.ndim == 0 or x.shape[-1] != 1):
-            xp = self.value_1d(t, x + h)
-            xm = self.value_1d(t, x - h)
-            return (xp - xm) / (2.0 * h)
         acc = 0.0
         for i in range(self.dim):
             e = np.zeros(self.dim)
             e[i] = h
-            acc = acc + (self.value(t, x + e)[..., i] - self.value(t, x - e)[..., i]) / (2.0 * h)
+            acc = acc + (self._value(t, x + e)[..., i] - self._value(t, x - e)[..., i]) / (2.0 * h)
         return acc
 
     def sup_norm(self, radius=None):
         """Supremum of |b| (over B(radius) for unbounded variants)."""
         raise NotImplementedError
 
-    def _scalar_shape(self, x):
-        x = np.asarray(x, dtype=float)
-        if self.dim == 1 and (x.ndim == 0 or x.shape[-1] != 1):
-            return x.shape
-        return x.shape[:-1]
-
     def _check_point(self, x):
         x = np.asarray(x, dtype=float)
+        if x.ndim == 0 or x.shape[-1] != self.dim:
+            raise DriftError(
+                f"dimension mismatch: drift has dim={self.dim}, point shape {x.shape}; "
+                f"points are (..., dim)"
+            )
         if not np.all(np.isfinite(x)):
             raise DriftError("drift evaluated at a non-finite point")
-        if self.dim > 1 and (x.ndim == 0 or x.shape[-1] != self.dim):
-            raise DriftError(
-                f"dimension mismatch: drift has dim={self.dim}, point shape {x.shape}"
-            )
         return x
 
 
@@ -272,12 +261,11 @@ class Drift:
 class ZeroDrift(Drift):
     dim: int = 1
 
-    def value(self, t, x):
-        x = self._check_point(x)
+    def _value(self, t, x):
         return np.zeros_like(x)
 
     def divergence_analytic(self, t, x):
-        return np.zeros(self._scalar_shape(x))
+        return np.zeros(x.shape[:-1])
 
     def sup_norm(self, radius=None):
         return 0.0
@@ -309,17 +297,14 @@ class HolderPowerDrift(Drift):
     def coef(self):
         return 1.0 / (1.0 - self.gamma)
 
-    def value(self, t, x):
-        x = self._check_point(x)
+    def _value(self, t, x):
         a = np.minimum(np.abs(x), self.cap) ** self.gamma
         if self.signed:
             a = np.sign(x) * a
         return self.coef * a
 
     def divergence_analytic(self, t, x):
-        x = np.asarray(x, dtype=float)
-        xx = x if (x.ndim == 0 or x.shape[-1] != 1) else x[..., 0]
-        xx = np.asarray(xx, dtype=float)
+        xx = x[..., 0]
         absx = np.abs(xx)
         out = np.where(
             absx > self.cap,
@@ -343,15 +328,14 @@ class Rotation2DDrift(Drift):
     omega: float = 1.0
     dim: int = 2
 
-    def value(self, t, x):
-        x = self._check_point(x)
+    def _value(self, t, x):
         out = np.empty_like(x)
         out[..., 0] = -self.omega * x[..., 1]
         out[..., 1] = self.omega * x[..., 0]
         return out
 
     def divergence_analytic(self, t, x):
-        return np.zeros(self._scalar_shape(x))
+        return np.zeros(x.shape[:-1])
 
     def sup_norm(self, radius=None):
         if radius is None:
@@ -372,14 +356,11 @@ class LinearDrift(Drift):
         object.__setattr__(self, "matrix", a)
         object.__setattr__(self, "dim", a.shape[0])
 
-    def value(self, t, x):
-        x = self._check_point(x)
-        if self.dim == 1 and (x.ndim == 0 or x.shape[-1] != 1):
-            return self.matrix[0, 0] * x
+    def _value(self, t, x):
         return np.einsum("ij,...j->...i", self.matrix, x)
 
     def divergence_analytic(self, t, x):
-        return np.full(self._scalar_shape(x), float(np.trace(self.matrix)))
+        return np.full(x.shape[:-1], float(np.trace(self.matrix)))
 
     def sup_norm(self, radius=None):
         if radius is None:
@@ -415,8 +396,7 @@ class RandomShiftSqrtDrift(Drift):
 
         return noise.evaluate(self.path, t)[0]
 
-    def value(self, t, x):
-        x = self._check_point(x)
+    def _value(self, t, x):
         return np.sqrt(np.abs(x - self._shift(t)))
 
     def sup_norm(self, radius=None):
@@ -456,14 +436,11 @@ class MollifiedDrift(Drift):
     def _nodes(self):
         return _mollifier_nodes(self.eps, self.dim, self.quad_points)
 
-    def value(self, t, x):
-        x = self._check_point(x)
+    def _value(self, t, x):
         offsets, weights = self._nodes()
-        scalar_style = self.dim == 1 and (x.ndim == 0 or x.shape[-1] != 1)
         acc = None
         for off, w in zip(offsets, weights):
-            shift = off[0] if scalar_style else off
-            term = w * self.base.value(t, x - shift)
+            term = w * self.base._value(t, x - off)
             acc = term if acc is None else acc + term
         return acc
 
@@ -476,18 +453,16 @@ class MollifiedDrift(Drift):
         higher dimension the divergence commutes with the node sum instead
         (the catalogue's multi-d fields all have smooth divergences).
         """
-        x = np.asarray(x, dtype=float)
         if self.dim == 1:
             edges, kern = _stieltjes_kernel(self.eps, max(2 * self.quad_points, 64))
-            scalar_style = x.ndim == 0 or x.shape[-1] != 1
-            bvals = [
-                (self.base.value_1d(t, x + o) if scalar_style
-                 else self.base.value(t, x + o)[..., 0])
-                for o in edges
-            ]
-            acc = kern[0] * (bvals[1] - bvals[0])
-            for j in range(1, len(kern)):
-                acc = acc + kern[j] * (bvals[j + 1] - bvals[j])
+            # streamed: only the last edge value stays alive between terms
+            prev = self.base._value(t, x + edges[0])[..., 0]
+            acc = None
+            for k, o in zip(kern, edges[1:]):
+                cur = self.base._value(t, x + o)[..., 0]
+                term = k * (cur - prev)
+                acc = term if acc is None else acc + term
+                prev = cur
             return acc
         offsets, weights = self._nodes()
         acc = None
@@ -508,8 +483,7 @@ class GridSampledDrift(Drift):
     dim: int = 1
     time_dependent: bool = True
 
-    def value(self, t, x):
-        x = self._check_point(x)
+    def _value(self, t, x):
         return self.field.interpolate(t, x)
 
     def sup_norm(self, radius=None):
@@ -538,19 +512,13 @@ def holder_seminorm_estimate(spec: Drift, t, radius, alpha, n_pairs, seed):
         raise DriftError("Holder exponent must lie in (0, 1)")
     rng = np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
     best = 0.0
-    d = spec.dim
     for _ in range(int(n_pairs)):
-        pair = rng.uniform(-radius, radius, size=(2, d))
+        pair = rng.uniform(-radius, radius, size=(2, spec.dim))
         x, y = pair[0], pair[1]
         dist = float(np.linalg.norm(x - y))
         if dist == 0.0:
             continue
-        if d == 1:
-            fx = spec.value_1d(t, x[0])
-            fy = spec.value_1d(t, y[0])
-            num = abs(float(fx - fy))
-        else:
-            num = float(np.linalg.norm(spec.value(t, x) - spec.value(t, y)))
+        num = float(np.linalg.norm(spec.value(t, x) - spec.value(t, y)))
         best = max(best, num / dist**alpha)
     return best
 

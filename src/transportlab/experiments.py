@@ -262,7 +262,7 @@ def ito_tanaka(config):
     ex = config.extra
     g = config.grid
     spec = _mollified_power(config)
-    f = lambda t, xs: spec.divergence(t, xs)
+    f = lambda xs: spec.divergence(0.0, xs[..., None])
     F = _pb.solve_terminal_value(spec, f, g["L"], g["n_x"], g["n_t"], T=g["T"])
     DF = F.x_derivative()
     reps = _pb.ito_tanaka_check(
@@ -494,7 +494,7 @@ def wong_zakai(config):
         for k in range(steps):
             tk = k * dt
             wdot = np.array([sp.derivative(tk)[0] for sp in smooth])
-            X = X + (spec.value_1d(tk, X) + wdot[:, None]) * dt
+            X = X + (spec.value(tk, X[..., None])[..., 0] + wdot[:, None]) * dt
         med[n] = float(np.median(np.abs(X - ref).ravel()))
     ratio = med[ladder[0]] / med[ladder[-1]]
     rows = [

@@ -330,6 +330,8 @@ def jacobian_fd(ens: FlowEnsemble, index, t):
 
 def jacobian_record(spec: Drift, ens: FlowEnsemble, index, t, div_step=1e-5):
     """Both Jacobian routes at one lattice point, bundled for comparison."""
+    if ens.path is None:
+        raise FlowError("ensemble has no driving path (a binary dump stores no time step)")
     det = jacobian_fd(ens, index, t)
     i = index if ens.d == 1 else index[0] * ens.lattice_shape[1] + index[1]
     k = ens.time_index(t) + 1

@@ -5,10 +5,11 @@ identity checker and the drift-removing change of variables.
 Conventions.  All problems live on the truncated domain [-L, L] with
 homogeneous Neumann walls (mirror ghost nodes, second order).  The backward
 resolvent lives on an unbounded time horizon; it is truncated at T + pad with
-terminal guess 0, with b and f frozen at their time-T values past T, so the
-terminal contamination at times <= T is bounded by exp(-lambda * pad).
-Marching is unconditionally stable Crank-Nicolson over a tridiagonal banded
-solve; matrices are assembled once when the drift is time-independent.
+terminal guess 0, so the terminal contamination at times <= T is bounded by
+exp(-lambda * pad).  Marching is unconditionally stable Crank-Nicolson over a
+tridiagonal banded solve.  The backward solvers take a time-independent drift
+and a source f(xs), so each solve builds its bands and right-hand side once;
+the mean equation also marches time-dependent drifts.
 """
 
 from __future__ import annotations
@@ -178,12 +179,33 @@ def _solve_bands(bands, lam_shift, c, rhs):
 def _drift_slice(spec: Drift, t, xs):
     if spec.dim != 1:
         raise ParabolicError("parabolic solvers are one-dimensional")
-    return spec.value_1d(t, xs)
+    return spec.value(t, xs[:, None])[:, 0]
 
 
-def _freeze(t, T):
-    # constant extension b(t, .) = b(T, .) past the horizon
-    return min(t, T)
+def _static_problem(spec: Drift, f, L, n_x):
+    """Grid, operator bands and source f(xs) of a backward problem, built once."""
+    if spec.time_dependent:
+        raise ParabolicError("backward solvers need a time-independent drift")
+    xs = np.linspace(-L, L, int(n_x) + 1)
+    return xs, _assemble(_drift_slice(spec, 0.0, xs), xs[1] - xs[0]), f(xs)
+
+
+def _cn_backward_march(bands, fsum, dt, lam, n_t, pad_steps):
+    """March from zero at level n_t + pad_steps down to 0, keeping levels 0..n_t.
+
+    ``fsum`` = f + f is the source at both ends of every step; the pad levels
+    above n_t are not stored.
+    """
+    c = 0.5 * dt
+    u = np.zeros(len(bands[1]))
+    values = np.zeros((n_t + 1, len(u)))
+    for k in range(n_t + pad_steps, 0, -1):
+        rhs = u + c * (_apply(bands, u) - lam * u)
+        rhs -= c * fsum
+        u = _solve_bands(bands, lam, c, rhs)
+        if k <= n_t + 1:
+            values[k - 1] = u
+    return values
 
 
 def solve_backward_resolvent(
@@ -199,15 +221,17 @@ def solve_backward_resolvent(
 ):
     """Backward march of d_t u + (Laplacian/2 + b.D) u - lam u = f on [0, T].
 
-    ``f(t, xs)`` must be bounded; the march starts from T + pad with zero
-    terminal guess.  If the supplied pad undercuts ln(||f||_0 / tol) / lam, a
-    residual warning is attached to the returned field instead of failing.
+    ``spec`` must be time-independent and ``f(xs)`` is a bounded source on
+    the grid; both are evaluated once per solve.  The march starts from
+    T + pad with zero terminal guess.  If the supplied pad undercuts
+    ln(||f||_0 / tol) / lam, a residual warning is attached to the returned
+    field instead of failing.
     """
     if lam <= 0:
         raise ParabolicError("resolvent parameter lambda must be positive")
-    xs = np.linspace(-L, L, int(n_x) + 1)
+    xs, bands, fx = _static_problem(spec, f, L, n_x)
     dt = T / int(n_t)
-    fmax = float(np.max(np.abs(f(0.0, xs)))) if callable(f) else 0.0
+    fmax = float(np.max(np.abs(fx)))
     needed = math.log(max(fmax, tol) / tol) / lam
     pad = needed if horizon_pad is None else float(horizon_pad)
     notes = []
@@ -217,47 +241,17 @@ def solve_backward_resolvent(
             f"terminal contamination ~{fmax * math.exp(-lam * pad) / lam:.3g}"
         )
     pad_steps = int(math.ceil(pad / dt)) if pad > 0 else 0
-    h = xs[1] - xs[0]
-    static = not spec.time_dependent
-    bands = _assemble(_drift_slice(spec, T, xs), h) if static else None
-
-    u = np.zeros_like(xs)
-    # silent march through the pad, b and f frozen at their time-T values
-    for k in range(n_t + pad_steps, n_t, -1):
-        u = _cn_backward_step(spec, f, xs, h, dt, lam, u, k, T, bands)
-    values = np.empty((n_t + 1, len(xs)))
-    values[n_t] = u
-    for k in range(n_t, 0, -1):
-        u = _cn_backward_step(spec, f, xs, h, dt, lam, u, k, T, bands)
-        values[k - 1] = u
+    values = _cn_backward_march(bands, fx + fx, dt, lam, int(n_t), pad_steps)
     ts = dt * np.arange(n_t + 1)
     return SpaceTimeField(xs=xs, ts=ts, values=values, notes=notes)
 
 
-def _cn_backward_step(spec, f, xs, h, dt, lam, u_next, k, T, bands):
-    t_next = _freeze(k * dt, T)
-    t_here = _freeze((k - 1) * dt, T)
-    bands_next = bands if bands is not None else _assemble(_drift_slice(spec, t_next, xs), h)
-    bands_here = bands if bands is not None else _assemble(_drift_slice(spec, t_here, xs), h)
-    c = 0.5 * dt
-    rhs = u_next + c * (_apply(bands_next, u_next) - lam * u_next)
-    rhs -= c * (f(t_here, xs) + f(t_next, xs))
-    return _solve_bands(bands_here, lam, c, rhs)
-
-
 def solve_terminal_value(spec: Drift, f, L, n_x, n_t, T):
-    """Terminal-value problem d_t F + Laplacian F / 2 + b.DF = f, F(T, .) = 0."""
-    xs = np.linspace(-L, L, int(n_x) + 1)
+    """Terminal-value problem d_t F + Laplacian F / 2 + b.DF = f, F(T, .) = 0,
+    for a time-independent ``spec`` and a source ``f(xs)``."""
+    xs, bands, fx = _static_problem(spec, f, L, n_x)
     dt = T / int(n_t)
-    h = xs[1] - xs[0]
-    static = not spec.time_dependent
-    bands = _assemble(_drift_slice(spec, T, xs), h) if static else None
-    values = np.empty((n_t + 1, len(xs)))
-    values[n_t] = 0.0
-    u = values[n_t].copy()
-    for k in range(n_t, 0, -1):
-        u = _cn_backward_step(spec, f, xs, h, dt, 0.0, u, k, T, bands)
-        values[k - 1] = u
+    values = _cn_backward_march(bands, fx + fx, dt, 0.0, int(n_t), 0)
     ts = dt * np.arange(n_t + 1)
     return SpaceTimeField(xs=xs, ts=ts, values=values)
 
@@ -363,7 +357,7 @@ def build_zvonkin_transform(
     invertible) and suggests the larger lambda implied by the observed
     lambda^{-1/2} envelope.
     """
-    f = lambda t, xs: -_drift_slice(spec, t, xs)
+    f = lambda xs: -_drift_slice(spec, 0.0, xs)
     psi = solve_backward_resolvent(
         spec, f, lam, L, n_x, T, n_t, horizon_pad=horizon_pad, tol=tol
     )
@@ -383,7 +377,7 @@ def grad_decay_study(spec: Drift, lambda_list, L, n_x, T, n_t, horizon_pad=None,
     lams = list(lambda_list)
     if len(lams) < 4 or any(b <= a for a, b in zip(lams, lams[1:])):
         raise ParabolicError("need an increasing lambda ladder with >= 4 entries")
-    f = lambda t, xs: -_drift_slice(spec, t, xs)
+    f = lambda xs: -_drift_slice(spec, 0.0, xs)
     rows = []
     for lam in lams:
         psi = solve_backward_resolvent(
@@ -429,9 +423,10 @@ def integrate_conjugated(transform: ZvonkinTransform, path, x0, s=0.0, t=None):
 
 
 def ito_tanaka_check(spec: Drift, f, paths, x0, L, n_x, n_t, t=None, F=None, DF=None):
-    """Residual of int_0^t f(s, X_s) ds = F(t, X_t) - F(0, x) - int DF . dW.
+    """Residual of int_0^t f(X_s) ds = F(t, X_t) - F(0, x) - int DF . dW.
 
-    F solves the terminal-value problem with l = b on the same horizon; the
+    F solves the terminal-value problem with l = b on the same horizon, for a
+    time-independent ``spec`` and a source ``f(xs)`` taking any shape; the
     left side uses trapezoid quadrature along the trajectory and the Ito
     integral uses left-point sums of the interpolated DF.  All paths of
     ``paths`` are marched at once and share one (F, DF) pair, which may be
@@ -451,10 +446,7 @@ def ito_tanaka_check(spec: Drift, f, paths, x0, L, n_x, n_t, t=None, F=None, DF=
     if np.any(out):
         k = int(np.argmax(out[:, np.argmax(out.any(axis=0))]))  # first path to exit
         raise ParabolicError(f"trajectory exits [-{L}, {L}] at t={times[k]:.6g}; enlarge L")
-    if spec.time_dependent:
-        fvals = np.array([np.asarray(f(tt, x), dtype=float) for tt, x in zip(times, xs)])
-    else:
-        fvals = np.asarray(f(0.0, xs), dtype=float)
+    fvals = np.asarray(f(xs), dtype=float)
     lhs = _flow._integrate_rows(fvals.T, dt)
     if DF is None:
         DF = F.x_derivative()

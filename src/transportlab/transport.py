@@ -196,7 +196,7 @@ def _gauss_nodes_weights(edges):
 
 def _stieltjes_div(spec: Drift, s, edges, cofactor_at_mid):
     """int div b(s, x) * cofactor(x) dx as sum (b(e+) - b(e-)) cofactor(mid)."""
-    bvals = spec.value_1d(s, edges)
+    bvals = spec.value(s, edges[..., None])[..., 0]
     return float(np.sum((bvals[1:] - bvals[:-1]) * cofactor_at_mid))
 
 
@@ -459,7 +459,7 @@ def perturbative_residual(provider, spec, theta, path, t, n_x=512, n_s=512, sign
         edges = _edges(lo, hi, n_x, splits)
         nodes, w = _gauss_nodes_weights(edges)
         uvals = provider(s, nodes)
-        adv = float(np.sum(w * spec.value_1d(s, nodes) * theta.grad(nodes + wts) * uvals))
+        adv = float(np.sum(w * spec.value(s, nodes[..., None])[..., 0] * theta.grad(nodes + wts) * uvals))
         mids = 0.5 * (edges[:-1] + edges[1:])
         cof = theta.value(mids + wts) * provider(s, mids)
         div = _stieltjes_div(spec, s, edges, cof)
@@ -489,7 +489,7 @@ def weak_residual_ito(provider, spec, theta, path, t, n_x=512, signed=False):
         edges = _edges(c - r, c + r, n_x, splits)
         nodes, w = _gauss_nodes_weights(edges)
         uvals = provider(s, nodes)
-        A[k] = float(np.sum(w * uvals * spec.value_1d(s, nodes) * theta.grad(nodes)))
+        A[k] = float(np.sum(w * uvals * spec.value(s, nodes[..., None])[..., 0] * theta.grad(nodes)))
         mids = 0.5 * (edges[:-1] + edges[1:])
         A[k] += _stieltjes_div(spec, s, edges, theta.value(mids) * provider(s, mids))
         B[k] = float(np.sum(w * uvals * theta.grad(nodes)))
@@ -675,7 +675,7 @@ def _commutator_core(v, g, eps, lo, hi, weight, dweight, n_outer, inner_cells, t
     kern = Mollifier(eps=float(eps), dim=1).kernel
     g_splits = tuple(getattr(g, "discontinuities", ()))
     v_splits = _sharp_points(v)
-    gv = lambda x: np.asarray(g(x), dtype=float) * v.value_1d(t, x)
+    gv = lambda x: np.asarray(g(x), dtype=float) * v.value(t, x[..., None])[..., 0]
 
     # resolve the kernel scale in the outer direction
     n_cells = max(int(n_outer), int(math.ceil(4.0 * (hi - lo) / eps)))
@@ -687,7 +687,7 @@ def _commutator_core(v, g, eps, lo, hi, weight, dweight, n_outer, inner_cells, t
     conv_g_nodes, conv_g_mids = conv_g[:len(nodes)], conv_g[len(nodes):]
     conv_gv_nodes = _convolve_at(nodes, gv, eps, kern, inner_cells, g_splits + v_splits)
     dw_nodes = dweight(nodes)
-    c1 = float(np.sum(w * dw_nodes * v.value_1d(t, nodes) * conv_g_nodes))
+    c1 = float(np.sum(w * dw_nodes * v.value(t, nodes[..., None])[..., 0] * conv_g_nodes))
     c2 = float(np.sum(w * dw_nodes * conv_gv_nodes))
 
     a_term = _stieltjes_div(v, t, edges, np.asarray(weight(mids)) * conv_g_mids)

@@ -308,6 +308,18 @@ def test_jacobian_record_bundle(path):
     assert abs(np.exp(rec.log_div) - rec.det_fd) / rec.det_fd < 5e-2
 
 
+def test_jacobian_record_rejects_reloaded_ensemble(path):
+    # a binary dump keeps the states but not the driving path's time step
+    spec = dr.mollify_drift(dr.HolderPowerDrift(gamma=0.7, cap=2.0), 0.05)
+    ens = fl.forward_flow(spec, path, np.linspace(-0.5, 0.5, 65), 0.0, [0.5])
+    raw = io.BytesIO()
+    fl.ensemble_to_binary(ens, raw)
+    again = fl.ensemble_from_binary(io.BytesIO(raw.getvalue()))
+    assert again.path is None
+    with pytest.raises(fl.FlowError, match="time step"):
+        fl.jacobian_record(spec, again, 32, 0.5)
+
+
 def test_measure_preservation_fine_lattice():
     # divergence-free rotation at lattice spacing 2^-6 and dt = 2^-10
     rot = dr.Rotation2DDrift(omega=0.01)

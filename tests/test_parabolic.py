@@ -1,5 +1,6 @@
 import io
 import json
+import math
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from transportlab import parabolic as pb
 
 
 def const_f(c):
-    return lambda t, xs: np.full_like(xs, c)
+    return lambda xs: np.full_like(xs, c)
 
 
 def test_resolvent_constant_ansatz():
@@ -27,7 +28,7 @@ def test_resolvent_stationary_oscillation():
     # u = -sin(kx)/(lam + k^2/2) away from the Neumann walls
     L, lam = 6.0, 4.0
     k = np.pi / L
-    f = lambda t, xs: np.sin(k * xs)
+    f = lambda xs: np.sin(k * xs)
     u = pb.solve_backward_resolvent(dr.ZeroDrift(), f, lam, L=L, n_x=512, T=1.0, n_t=256)
     exact = -np.sin(k * u.xs) / (lam + k * k / 2.0)
     interior = np.abs(u.xs) <= L / 2
@@ -39,7 +40,7 @@ def test_resolvent_grid_convergence_bracket():
     # the error by the second-order factor
     L, lam = 6.0, 4.0
     k = np.pi / L
-    f = lambda t, xs: np.cos(k * xs)
+    f = lambda xs: np.cos(k * xs)
     errs = []
     for n_x in (128, 256, 512):
         u = pb.solve_backward_resolvent(dr.ZeroDrift(), f, lam, L=L, n_x=n_x, T=0.5, n_t=2048)
@@ -82,7 +83,7 @@ def test_terminal_value_oracles():
     # separation of variables: F = sin(kx) (e^{-k^2 (T-t)/2} - 1)/(k^2/2)
     L = 6.0
     k = np.pi / L
-    f = lambda t, xs: np.sin(k * xs)
+    f = lambda xs: np.sin(k * xs)
     F = pb.solve_terminal_value(z, f, L=L, n_x=512, n_t=512, T=1.0)
     exact = np.sin(k * F.xs) * (np.exp(-k * k * 1.0 / 2.0) - 1.0) / (k * k / 2.0)
     interior = np.abs(F.xs) <= L / 2
@@ -234,3 +235,66 @@ def test_resolvent_constant_ansatz_any_drift():
         L=8.0, n_x=512, T=1.0, n_t=256,
     )
     assert np.max(np.abs(u.values + 1.0 / lam)) < 1e-7
+
+
+# The previous backward march, kept as the reference: every step evaluated a
+# source f(t, xs) at both of its ends, with times frozen at T inside the pad.
+
+
+def _cn_step_reference(f, xs, dt, lam, u_next, k, T, bands):
+    t_next = min(k * dt, T)
+    t_here = min((k - 1) * dt, T)
+    c = 0.5 * dt
+    rhs = u_next + c * (pb._apply(bands, u_next) - lam * u_next)
+    rhs -= c * (f(t_here, xs) + f(t_next, xs))
+    return pb._solve_bands(bands, lam, c, rhs)
+
+
+def _backward_reference(spec, f, lam, L, n_x, T, n_t, pad):
+    xs = np.linspace(-L, L, n_x + 1)
+    dt = T / n_t
+    bands = pb._assemble(spec.value(T, xs[:, None])[:, 0], xs[1] - xs[0])
+    pad_steps = int(math.ceil(pad / dt)) if pad > 0 else 0
+    u = np.zeros_like(xs)
+    for k in range(n_t + pad_steps, n_t, -1):
+        u = _cn_step_reference(f, xs, dt, lam, u, k, T, bands)
+    values = np.empty((n_t + 1, len(xs)))
+    values[n_t] = u
+    for k in range(n_t, 0, -1):
+        u = _cn_step_reference(f, xs, dt, lam, u, k, T, bands)
+        values[k - 1] = u
+    return values
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        dr.HolderPowerDrift(gamma=0.5, cap=2.0, signed=True),
+        dr.HolderPowerDrift(gamma=0.3, cap=1.5, signed=False),
+        dr.LinearDrift(matrix=[[-1.3]]),
+        dr.mollify_drift(dr.HolderPowerDrift(gamma=0.5, cap=2.0), 0.05),
+    ],
+)
+def test_backward_solvers_match_previous_march_bitwise(spec):
+    L, n_x, T, n_t, lam = 4.0, 256, 0.5, 32, 4.0
+    minus_b = lambda xs: -spec.value(0.0, xs[:, None])[:, 0]
+    div_b = lambda xs: spec.divergence(0.0, xs[:, None])
+    xs = np.linspace(-L, L, n_x + 1)
+    needed = math.log(float(np.max(np.abs(minus_b(xs)))) / 1e-8) / lam
+    for pad, expect_pad in ((None, needed), (0.1, 0.1), (0.0, 0.0)):
+        u = pb.solve_backward_resolvent(spec, minus_b, lam, L, n_x, T, n_t, horizon_pad=pad)
+        ref = _backward_reference(spec, lambda t, x: minus_b(x), lam, L, n_x, T, n_t, expect_pad)
+        assert np.array_equal(u.values, ref)
+        assert bool(u.notes) == (pad is not None)
+    F = pb.solve_terminal_value(spec, div_b, L, n_x, n_t, T)
+    ref = _backward_reference(spec, lambda t, x: div_b(x), 0.0, L, n_x, T, n_t, 0.0)
+    assert np.array_equal(F.values, ref)
+
+
+def test_backward_solvers_refuse_time_dependent_drift():
+    fld = pb.SpaceTimeField(xs=np.linspace(-1, 1, 3), ts=np.array([0.0, 1.0]), values=np.zeros((2, 3)))
+    for spec in (dr.GridSampledDrift(field=fld), dr.mollify_drift(dr.RandomShiftSqrtDrift(), 0.1)):
+        with pytest.raises(pb.ParabolicError, match="time-independent"):
+            pb.solve_backward_resolvent(spec, const_f(1.0), 4.0, L=2.0, n_x=16, T=0.5, n_t=8)
+        with pytest.raises(pb.ParabolicError, match="time-independent"):
+            pb.solve_terminal_value(spec, const_f(1.0), L=2.0, n_x=16, n_t=8, T=0.5)
