@@ -4,8 +4,8 @@ All drifts are pure values: evaluating one never mutates state, so instances
 can be shared freely across threads.  Points are numpy arrays of shape
 ``(..., dim)`` in every dimension, 1-d included; ``value`` and ``divergence``
 check shape and finiteness once at entry and then evaluate through the
-variants' unchecked ``_value``, so a mollified drift does not re-check its
-points at every quadrature node.
+variants' unchecked ``_value`` and ``_divergence``, so a mollified drift does
+not re-check its points at every quadrature node.
 """
 
 from __future__ import annotations
@@ -218,7 +218,9 @@ class Drift:
         """
         if h <= 0:
             raise DriftError("finite-difference step h must be positive")
-        x = self._check_point(x)
+        return self._divergence(t, self._check_point(x), h, mode)
+
+    def _divergence(self, t, x, h=1e-5, mode="auto"):
         if mode == "fd":
             return self._divergence_fd(t, x, h)
         ana = self.divergence_analytic(t, x)
@@ -467,7 +469,7 @@ class MollifiedDrift(Drift):
         offsets, weights = self._nodes()
         acc = None
         for off, w in zip(offsets, weights):
-            term = w * self.base.divergence(t, x - off, mode="auto")
+            term = w * self.base._divergence(t, x - off)
             acc = term if acc is None else acc + term
         return acc
 

@@ -7,19 +7,23 @@ test candidate fields against the pathwise (perturbative) weak form and the
 Ito weak form, and evaluate mollification commutators plain and composed
 with a flow.
 
-Quadrature.  Space integrals use composite two-point Gauss cells, with cells
-split at every known discontinuity of the integrand (step data, family branch
-curves) so jumps never sit inside a cell.  Terms carrying div b are computed
-as Riemann-Stieltjes sums against b itself, which tolerates the integrable
-singularity of the power-law divergence without ever sampling it.  A plain
-trapezoid rule cannot reach the tolerances used here; the cell-split Gauss
-rule is the same fixed-node idea, two orders more accurate.
+Quadrature.  Space integrals use composite two-point Gauss cells, the same
+number per axis and tensorized in 2-d, with cells split at every known
+discontinuity of the integrand (step data, family branch curves) so jumps
+never sit inside a cell.  Terms carrying div b are computed as
+Riemann-Stieltjes sums against b itself, b_i across the cells of axis i, which
+tolerates the integrable singularity of the power-law divergence without ever
+sampling it.  A plain trapezoid rule cannot reach the tolerances used here;
+the cell-split Gauss rule is the same fixed-node idea, two orders more
+accurate.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
+from typing import NamedTuple
 
 import numpy as np
 
@@ -130,8 +134,14 @@ class TestFunction:
 
     def __init__(self, center=0.0, radius=1.0):
         c = np.atleast_1d(np.asarray(center, dtype=float))
+        r = float(radius)
+        if not (np.all(np.isfinite(c)) and math.isfinite(r) and r > 0.0):
+            raise TransportError(
+                f"test function needs a finite center and a finite radius > 0, "
+                f"got center={center!r}, radius={radius!r}"
+            )
         self.center = c if c.size > 1 else float(c[0])
-        self.radius = float(radius)
+        self.radius = r
         self.dim = c.size
 
     def _q(self, x):
@@ -162,17 +172,9 @@ class TestFunction:
         )
         return np.where(inside, val, 0.0)
 
-    def support(self):
-        if self.dim == 1:
-            return (self.center - self.radius, self.center + self.radius)
-        return tuple(
-            (self.center[i] - self.radius, self.center[i] + self.radius)
-            for i in range(self.dim)
-        )
-
 
 # ---------------------------------------------------------------------------
-# quadrature helpers (1-d cells with splits; 2-pt Gauss per cell)
+# quadrature helpers (cells per axis with splits; 2-pt Gauss per cell)
 
 _GAUSS_OFF = 1.0 / math.sqrt(3.0)
 
@@ -188,16 +190,60 @@ def _edges(lo, hi, n_cells, splits=()):
 def _gauss_nodes_weights(edges):
     """Gauss nodes and weights of the cells along the last axis of ``edges``."""
     mid = 0.5 * (edges[..., :-1] + edges[..., 1:])
-    half = 0.5 * np.diff(edges, axis=-1)
+    half = 0.5 * (edges[..., 1:] - edges[..., :-1])
     nodes = np.concatenate([mid - half * _GAUSS_OFF, mid + half * _GAUSS_OFF], axis=-1)
     weights = np.concatenate([half, half], axis=-1)
     return nodes, weights
 
 
-def _stieltjes_div(spec: Drift, s, edges, cofactor_at_mid):
-    """int div b(s, x) * cofactor(x) dx as sum (b(e+) - b(e-)) cofactor(mid)."""
-    bvals = spec.value(s, edges[..., None])[..., 0]
-    return float(np.sum((bvals[1:] - bvals[:-1]) * cofactor_at_mid))
+def _tensor(axes):
+    """Points (..., d) of the tensor grid of per-axis coordinates."""
+    d = len(axes)
+    points = np.empty(tuple(map(len, axes)) + (d,))
+    for i, a in enumerate(axes):
+        points[..., i] = a.reshape(-1, *(1,) * (d - 1 - i))
+    return points
+
+
+def _native(points):
+    """Points (..., d) as providers and test functions take them: bare in 1-d."""
+    return points[..., 0] if points.shape[-1] == 1 else points
+
+
+class _Cells(NamedTuple):
+    edges: tuple        # per axis
+    nodes: tuple        # per axis
+    weights: tuple      # per axis, shaped to broadcast over the grid
+    points: np.ndarray  # tensor Gauss nodes, (..., d)
+    W: np.ndarray       # product of the per-axis weights
+    x: np.ndarray       # the nodes as providers take them (_native)
+    shift: np.ndarray   # the grid's shift, likewise
+
+
+def _cells(theta, shift, n_x, splits):
+    """Two-point Gauss cells over supp theta - shift, n_x per axis, every axis
+    split at ``splits``, tensorized into one grid."""
+    r = theta.radius
+    edges = tuple(
+        _edges(c - r - w, c + r - w, n_x, splits)
+        for c, w in zip(np.atleast_1d(theta.center).tolist(), shift.tolist())
+    )
+    nodes, weights = zip(*map(_gauss_nodes_weights, edges))
+    d = len(edges)
+    weights = tuple(w.reshape(-1, *(1,) * (d - 1 - i)) for i, w in enumerate(weights))
+    points = _tensor(nodes)
+    return _Cells(edges, nodes, weights, points, reduce(np.multiply, weights),
+                  _native(points), _native(shift))
+
+
+def _stieltjes_div(spec: Drift, s, edge_points, cofactor_at_mid, axis=0):
+    """int d_i b_i(s, x) cofactor(x) dx, i = ``axis``, as the Riemann-Stieltjes
+    sum of (b_i(e+) - b_i(e-)) cofactor(mid) over the cells of that axis;
+    ``edge_points`` (..., d) runs over the cell edges along ``axis``."""
+    bvals = spec.value(s, edge_points)[..., axis]
+    hi = (slice(None),) * axis + (slice(1, None),)
+    lo = (slice(None),) * axis + (slice(None, -1),)
+    return float(np.sum((bvals[hi] - bvals[lo]) * cofactor_at_mid))
 
 
 def _sharp_points(spec: Drift):
@@ -407,15 +453,42 @@ class ShiftedFamilySolution:
 # weak-form residual checkers
 
 
-def _u_against(provider, s, weight_fn, lo, hi, n_cells, extra_splits=()):
-    """int u(s, x) * weight(x) dx with cells split at the provider's jumps."""
-    splits = tuple(provider.discontinuities(s)) + tuple(extra_splits)
-    edges = _edges(lo, hi, n_cells, splits)
-    nodes, w = _gauss_nodes_weights(edges)
-    return float(np.sum(w * provider(s, nodes) * weight_fn(nodes))), edges
+def _against_theta(u, theta, shift, n_x, splits):
+    """int u(x) theta(x + shift) dx, cells split at ``splits``."""
+    cells = _cells(theta, shift, n_x, splits)
+    return float(np.sum(cells.W * u(cells.x) * theta.value(cells.x + cells.shift)))
+
+
+def _drift_term(provider, spec, theta, s, cells, u):
+    """int u_s (b . grad theta + div b theta)(x + shift) dx; ``u`` is u_s at the
+    cell nodes.  div b enters axis by axis: b_i differenced across the cells of
+    axis i, at the Gauss nodes (and weights) of the other axes."""
+    grad = np.reshape(theta.grad(cells.x + cells.shift), cells.points.shape)
+    b = spec.value(s, cells.points)
+    b_grad = reduce(np.add, [cells.W * b[..., i] * grad[..., i] for i in range(b.shape[-1])])
+    total = float(np.sum(b_grad * u))
+    for i, e in enumerate(cells.edges):
+        edge_points = _tensor(cells.nodes[:i] + (e,) + cells.nodes[i + 1:])
+        mids = _native(_tensor(cells.nodes[:i] + (0.5 * (e[:-1] + e[1:]),) + cells.nodes[i + 1:]))
+        cof = theta.value(mids + cells.shift) * provider(s, mids)
+        cof = reduce(np.multiply, cells.weights[:i] + cells.weights[i + 1:], cof)
+        total += _stieltjes_div(spec, s, edge_points, cof, axis=i)
+    return total
+
+
+def _check_weak_form(spec, theta, path, n_x):
+    if int(n_x) < 1:
+        raise TransportError(f"n_x={n_x}: the weak forms need at least one cell per axis")
+    dim = np.size(theta.center)
+    if dim != spec.dim or path.d != spec.dim:
+        raise TransportError(
+            f"dimension mismatch: drift is {spec.dim}-d, test function {dim}-d, path {path.d}-d"
+        )
 
 
 def _time_indices(path, t, n_s):
+    if int(n_s) < 1:
+        raise TransportError(f"n_s={n_s}: the time quadrature needs at least one interval")
     K = path.index_of(t)
     stride = max(1, K // int(n_s))
     if K % stride:
@@ -432,38 +505,25 @@ def perturbative_residual(provider, spec, theta, path, t, n_x=512, n_s=512, sign
                + int_0^t ds int [b . Dtheta(x + W_{ts}) + div b theta(x + W_{ts})] u_s(x) dx
 
     Space integrals run over supp theta shifted per time node (the integrand
-    vanishes outside a bounded set for bounded paths); time quadrature is a
-    trapezoid on path-grid-aligned nodes.
+    vanishes outside a bounded set for bounded paths) with ``n_x`` cells per
+    axis; time quadrature is a trapezoid on path-grid-aligned nodes.
     """
-    if spec.dim == 2:
-        return _perturbative_2d(provider, spec, theta, path, t, n_x, n_s, signed)
-    c, r = theta.center, theta.radius
-    wt = _noise.evaluate(path, t)[0]
-    grid_w = _noise.grid_values(path)[:, 0]
-    lhs, _ = _u_against(provider, t, theta.value, c - r, c + r, n_x)
-
-    u0 = provider.u0
-    u0_splits = tuple(getattr(u0, "discontinuities", ()))
-    edges0 = _edges(c - r - wt, c + r - wt, n_x, u0_splits)
-    nodes0, w0 = _gauss_nodes_weights(edges0)
-    term0 = float(np.sum(w0 * u0(nodes0) * theta.value(nodes0 + wt)))
-
+    _check_weak_form(spec, theta, path, n_x)
     idx, stride = _time_indices(path, t, n_s)
+    wt = _noise.evaluate(path, t)
+    grid_w = _noise.grid_values(path)
+    lhs = _against_theta(lambda x: provider(t, x), theta, np.zeros(spec.dim), n_x,
+                         tuple(provider.discontinuities(t)))
+    u0 = provider.u0
+    term0 = _against_theta(u0, theta, wt, n_x, tuple(getattr(u0, "discontinuities", ())))
+
     sharp = _sharp_points(spec)
     ivals = np.empty(len(idx))
     for j, k in enumerate(idx):
         s = k * path.dt
-        wts = wt - grid_w[k]
-        lo, hi = c - r - wts, c + r - wts
-        splits = tuple(provider.discontinuities(s)) + sharp
-        edges = _edges(lo, hi, n_x, splits)
-        nodes, w = _gauss_nodes_weights(edges)
-        uvals = provider(s, nodes)
-        adv = float(np.sum(w * spec.value(s, nodes[..., None])[..., 0] * theta.grad(nodes + wts) * uvals))
-        mids = 0.5 * (edges[:-1] + edges[1:])
-        cof = theta.value(mids + wts) * provider(s, mids)
-        div = _stieltjes_div(spec, s, edges, cof)
-        ivals[j] = adv + div
+        shift = wt - grid_w[k]
+        cells = _cells(theta, shift, n_x, tuple(provider.discontinuities(s)) + sharp)
+        ivals[j] = _drift_term(provider, spec, theta, s, cells, provider(s, cells.x))
     rhs = term0 + float(np.trapezoid(ivals, dx=stride * path.dt))
     defect = lhs - rhs
     return defect if signed else abs(defect)
@@ -475,99 +535,26 @@ def weak_residual_ito(provider, spec, theta, path, t, n_x=512, signed=False):
     Expected O(dt^(1/2)) noisier than the perturbative residual: the Ito sums
     dominate the error budget.
     """
-    if spec.dim == 2:
-        return _weak_ito_2d(provider, spec, theta, path, t, n_x, signed)
-    c, r = theta.center, theta.radius
+    _check_weak_form(spec, theta, path, n_x)
     K = path.index_of(t)
+    zero = np.zeros(spec.dim)
     sharp = _sharp_points(spec)
     A = np.empty(K + 1)
-    B = np.empty(K + 1)
+    B = np.empty((K + 1, spec.dim))
     C = np.empty(K + 1)
     for k in range(K + 1):
         s = k * path.dt
-        splits = tuple(provider.discontinuities(s)) + sharp
-        edges = _edges(c - r, c + r, n_x, splits)
-        nodes, w = _gauss_nodes_weights(edges)
-        uvals = provider(s, nodes)
-        A[k] = float(np.sum(w * uvals * spec.value(s, nodes[..., None])[..., 0] * theta.grad(nodes)))
-        mids = 0.5 * (edges[:-1] + edges[1:])
-        A[k] += _stieltjes_div(spec, s, edges, theta.value(mids) * provider(s, mids))
-        B[k] = float(np.sum(w * uvals * theta.grad(nodes)))
-        C[k] = float(np.sum(w * uvals * theta.laplacian(nodes)))
-    lhs, _ = _u_against(provider, t, theta.value, c - r, c + r, n_x)
+        cells = _cells(theta, zero, n_x, tuple(provider.discontinuities(s)) + sharp)
+        u = provider(s, cells.x)
+        A[k] = _drift_term(provider, spec, theta, s, cells, u)
+        wu = cells.W * u
+        grad = np.reshape(theta.grad(cells.x), cells.points.shape)
+        B[k] = [np.sum(wu * grad[..., i]) for i in range(spec.dim)]
+        C[k] = float(np.sum(wu * theta.laplacian(cells.x)))
+    lhs = _against_theta(lambda x: provider(t, x), theta, zero, n_x,
+                         tuple(provider.discontinuities(t)))
     u0 = provider.u0
-    edges0 = _edges(c - r, c + r, n_x, tuple(getattr(u0, "discontinuities", ())))
-    nodes0, w0 = _gauss_nodes_weights(edges0)
-    term0 = float(np.sum(w0 * u0(nodes0) * theta.value(nodes0)))
-    ito = float(np.sum(B[:-1] * path.increments[:K, 0]))
-    defect = (
-        lhs
-        - term0
-        - float(np.trapezoid(A, dx=path.dt))
-        - ito
-        - 0.5 * float(np.trapezoid(C, dx=path.dt))
-    )
-    return defect if signed else abs(defect)
-
-
-def _grid_2d(theta, shift, n_cells):
-    (lo1, hi1), (lo2, hi2) = theta.support()
-    e1 = _edges(lo1 - shift[0], hi1 - shift[0], n_cells)
-    e2 = _edges(lo2 - shift[1], hi2 - shift[1], n_cells)
-    n1, w1 = _gauss_nodes_weights(e1)
-    n2, w2 = _gauss_nodes_weights(e2)
-    X = np.stack(np.meshgrid(n1, n2, indexing="ij"), axis=-1)
-    W = np.outer(w1, w2)
-    return X, W
-
-
-def _perturbative_2d(provider, spec, theta, path, t, n_x, n_s, signed):
-    n_cells = min(int(n_x), 96)
-    wt = _noise.evaluate(path, t)
-    grid_w = _noise.grid_values(path)
-    X, W = _grid_2d(theta, np.zeros(2), n_cells)
-    lhs = float(np.sum(W * provider(t, X) * theta.value(X)))
-    X0, W0 = _grid_2d(theta, wt, n_cells)
-    term0 = float(np.sum(W0 * provider.u0(X0) * theta.value(X0 + wt)))
-    idx, stride = _time_indices(path, t, n_s)
-    ivals = np.empty(len(idx))
-    for j, k in enumerate(idx):
-        s = k * path.dt
-        wts = wt - grid_w[k]
-        Xs, Ws = _grid_2d(theta, wts, n_cells)
-        u = provider(s, Xs)
-        bv = spec.value(s, Xs)
-        gr = theta.grad(Xs + wts)
-        dv = spec.divergence(s, Xs)
-        ivals[j] = float(
-            np.sum(Ws * u * (np.sum(bv * gr, axis=-1) + dv * theta.value(Xs + wts)))
-        )
-    rhs = term0 + float(np.trapezoid(ivals, dx=stride * path.dt))
-    defect = lhs - rhs
-    return defect if signed else abs(defect)
-
-
-def _weak_ito_2d(provider, spec, theta, path, t, n_x, signed):
-    n_cells = min(int(n_x), 96)
-    K = path.index_of(t)
-    X, W = _grid_2d(theta, np.zeros(2), n_cells)
-    th = theta.value(X)
-    gr = theta.grad(X)
-    lap = theta.laplacian(X)
-    A = np.empty(K + 1)
-    B = np.empty((K + 1, 2))
-    C = np.empty(K + 1)
-    for k in range(K + 1):
-        s = k * path.dt
-        u = provider(s, X)
-        bv = spec.value(s, X)
-        dv = spec.divergence(s, X)
-        A[k] = float(np.sum(W * u * (np.sum(bv * gr, axis=-1) + dv * th)))
-        B[k, 0] = float(np.sum(W * u * gr[..., 0]))
-        B[k, 1] = float(np.sum(W * u * gr[..., 1]))
-        C[k] = float(np.sum(W * u * lap))
-    lhs = float(np.sum(W * provider(t, X) * th))
-    term0 = float(np.sum(W * provider.u0(X) * th))
+    term0 = _against_theta(u0, theta, zero, n_x, tuple(getattr(u0, "discontinuities", ())))
     ito = float(np.sum(B[:-1] * path.increments[:K]))
     defect = (
         lhs
@@ -690,13 +677,13 @@ def _commutator_core(v, g, eps, lo, hi, weight, dweight, n_outer, inner_cells, t
     c1 = float(np.sum(w * dw_nodes * v.value(t, nodes[..., None])[..., 0] * conv_g_nodes))
     c2 = float(np.sum(w * dw_nodes * conv_gv_nodes))
 
-    a_term = _stieltjes_div(v, t, edges, np.asarray(weight(mids)) * conv_g_mids)
+    a_term = _stieltjes_div(v, t, edges[..., None], np.asarray(weight(mids)) * conv_g_mids)
 
     # B term lives on supp(rho) inflated by eps
     edges_b = _edges(lo - eps, hi + eps, n_cells, v_splits + g_splits)
     mids_b = 0.5 * (edges_b[:-1] + edges_b[1:])
     conv_w_mids = _convolve_at(mids_b, weight, eps, kern, inner_cells, ())
-    b_term = _stieltjes_div(v, t, edges_b, np.asarray(g(mids_b)) * conv_w_mids)
+    b_term = _stieltjes_div(v, t, edges_b[..., None], np.asarray(g(mids_b)) * conv_w_mids)
 
     return c1 - c2 + a_term - b_term
 

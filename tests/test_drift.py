@@ -318,6 +318,34 @@ def test_mollified_divergence_streams_its_edges():
     assert peak < 2e6
 
 
+class _Swirl(dr.Drift):
+    """2-d field with no analytic divergence: its divergence is a difference stencil."""
+
+    dim = 2
+
+    def _value(self, t, x):
+        return np.stack([np.sin(x[..., 1]) * x[..., 0] ** 2, np.cos(x[..., 0]) * x[..., 1]], axis=-1)
+
+
+@pytest.mark.parametrize(
+    "base", [dr.LinearDrift(matrix=[[0.3, 0.1], [-0.2, 0.5]]), dr.Rotation2DDrift(omega=0.7), _Swirl()]
+)
+def test_mollified_2d_divergence_checks_points_once(monkeypatch, base):
+    m = dr.mollify_drift(base, 0.1)
+    x = np.random.default_rng(3).uniform(-1.5, 1.5, size=(64, 64, 2))
+    # previous node loop: the base's public divergence, with its checks, at every node
+    offsets, weights = m._nodes()
+    ref = None
+    for off, w in zip(offsets, weights):
+        term = w * base.divergence(0.0, x - off, mode="auto")
+        ref = term if ref is None else ref + term
+    checks = []
+    check_point = dr.Drift._check_point
+    monkeypatch.setattr(dr.Drift, "_check_point", lambda self, p: checks.append(p.shape) or check_point(self, p))
+    assert np.array_equal(m.divergence(0.0, x), ref)
+    assert checks == [x.shape]
+
+
 @pytest.mark.parametrize("spec", [dr.HolderPowerDrift(gamma=0.5, cap=2.0), dr.LinearDrift(matrix=[[1.0]])])
 def test_holder_seminorm_1d_same_floats(spec):
     # previous 1-d branch: |b(x) - b(y)| on scalars, not the norm of a 1-vector

@@ -3,6 +3,7 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from transportlab import drift as dr
 from transportlab import flow as fl
@@ -334,6 +335,35 @@ def test_measure_preservation_fine_lattice():
         for j in range(1, n - 1, 8)
     )
     assert worst < 1e-6
+
+
+_lattices = st.one_of(
+    st.tuples(st.integers(1, 7)),
+    st.tuples(st.integers(1, 4), st.integers(1, 4)),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(shape=_lattices, n_times=st.integers(1, 4), data=st.data())
+def test_ensemble_binary_roundtrip_property(shape, n_times, data):
+    n, d = int(np.prod(shape)), len(shape)
+    values = lambda size: np.array(
+        data.draw(st.lists(st.floats(allow_nan=False, width=64), min_size=size, max_size=size)),
+        dtype=float,
+    )
+    times = values(n_times)
+    spacing = tuple(data.draw(st.floats(min_value=0.0, max_value=1e3)) for _ in shape)
+    ens = fl.FlowEnsemble(
+        path=None, start=float(times[0]), times=times, initial=values(n * d).reshape(n, d),
+        states=values(n_times * n * d).reshape(n_times, n, d), lattice_shape=shape, spacing=spacing,
+    )
+    raw = io.BytesIO()
+    fl.ensemble_to_binary(ens, raw)
+    again = fl.ensemble_from_binary(io.BytesIO(raw.getvalue()))
+    assert again == ens
+    assert again.lattice_shape == shape and again.spacing == spacing
+    for name in ("times", "initial", "states"):
+        assert getattr(again, name).tobytes() == getattr(ens, name).tobytes()  # signed zeros too
 
 
 def test_ensemble_binary_keeps_2d_lattice():

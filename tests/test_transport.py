@@ -209,8 +209,117 @@ def test_residuals_divergence_free_2d():
     p2 = nz.sample_brownian(3, 0, 2, 0.5, 2**-7)
     theta = tp.TestFunction(np.array([0.1, -0.2]), 1.0)
     cf = tp.ConstantField(0.9, dim=2)
-    assert tp.weak_residual_ito(cf, rot, theta, p2, 0.5) < 1e-5
-    assert tp.perturbative_residual(cf, rot, theta, p2, 0.5, n_s=64) < 1e-5
+    assert tp.weak_residual_ito(cf, rot, theta, p2, 0.5, n_x=96) < 1e-5
+    assert tp.perturbative_residual(cf, rot, theta, p2, 0.5, n_x=96, n_s=64) < 1e-5
+
+
+def test_residuals_2d_with_divergence():
+    # div b = 0.8: u (b . grad theta) integrates to -u div b theta, which only
+    # the per-axis Stieltjes sums of b supply
+    lin = dr.LinearDrift([[0.3, 0.1], [-0.2, 0.5]])
+    p2 = nz.sample_brownian(3, 0, 2, 0.5, 2**-7)
+    theta = tp.TestFunction(np.array([0.1, -0.2]), 1.0)
+    cf = tp.ConstantField(0.9, dim=2)
+    assert tp.weak_residual_ito(cf, lin, theta, p2, 0.5, n_x=96) < 1e-5
+    assert tp.perturbative_residual(cf, lin, theta, p2, 0.5, n_x=96, n_s=64) < 1e-5
+
+
+# The previous 1-d perturbative loop and Stieltjes sum, kept as the reference
+# the one-path quadrature must match bit for bit in 1-d.
+
+
+def _gauss_cells_reference(edges):
+    mid = 0.5 * (edges[:-1] + edges[1:])
+    half = 0.5 * np.diff(edges)
+    nodes = np.concatenate([mid - half * tp._GAUSS_OFF, mid + half * tp._GAUSS_OFF])
+    return nodes, np.concatenate([half, half])
+
+
+def _stieltjes_div_reference(spec, s, edges, cofactor_at_mid):
+    bvals = spec.value(s, edges[..., None])[..., 0]
+    return float(np.sum((bvals[1:] - bvals[:-1]) * cofactor_at_mid))
+
+
+def _perturbative_reference(provider, spec, theta, path, t, n_x, n_s):
+    c, r = theta.center, theta.radius
+    wt = nz.evaluate(path, t)[0]
+    grid_w = nz.grid_values(path)[:, 0]
+    nodes, w = _gauss_cells_reference(tp._edges(c - r, c + r, n_x, tuple(provider.discontinuities(t))))
+    lhs = float(np.sum(w * provider(t, nodes) * theta.value(nodes)))
+    u0 = provider.u0
+    u0_splits = tuple(getattr(u0, "discontinuities", ()))
+    nodes0, w0 = _gauss_cells_reference(tp._edges(c - r - wt, c + r - wt, n_x, u0_splits))
+    term0 = float(np.sum(w0 * u0(nodes0) * theta.value(nodes0 + wt)))
+    K = path.index_of(t)
+    stride = max(1, K // n_s)
+    sharp = tp._sharp_points(spec)
+    ivals = []
+    for k in range(0, K + 1, stride):
+        s = k * path.dt
+        wts = wt - grid_w[k]
+        edges = tp._edges(c - r - wts, c + r - wts, n_x, tuple(provider.discontinuities(s)) + sharp)
+        nodes, w = _gauss_cells_reference(edges)
+        uvals = provider(s, nodes)
+        adv = float(np.sum(w * spec.value(s, nodes[..., None])[..., 0] * theta.grad(nodes + wts) * uvals))
+        mids = 0.5 * (edges[:-1] + edges[1:])
+        cof = theta.value(mids + wts) * provider(s, mids)
+        ivals.append(adv + _stieltjes_div_reference(spec, s, edges, cof))
+    return lhs - (term0 + float(np.trapezoid(np.array(ivals), dx=stride * path.dt)))
+
+
+def test_perturbative_matches_previous_1d_loop_bitwise(path):
+    spec = dr.HolderPowerDrift(gamma=0.5, cap=2.0)  # sharp points -2, 0, 2 split the cells
+    zero = nz.zero_path(1, 1.0, 2**-7)
+    cases = [
+        (tp.ShiftedDatumSolution(path, tp.StepDatum(0.2)), tp.TestFunction(0.3, 1.5), path),
+        (tp.CharacteristicsSolution(spec, path, tp.StepDatum(0.0), x_span=(-8, 8), n_grid=513),
+         tp.TestFunction(-0.4, 1.8), path),
+    ] + [
+        (tp.DeterministicFamilySolution(0.5, 2.0, tp.StepDatum(0.0), lambda s, a=a: a, lambda s, a=a: 1 - a),
+         tp.TestFunction(0.1, 2.0), zero)
+        for a in (0.0, 0.5, 1.0)
+    ]
+    for provider, theta, p in cases:
+        for n_x, n_s in ((128, 64), (97, 128)):
+            got = tp.perturbative_residual(provider, spec, theta, p, 1.0, n_x=n_x, n_s=n_s, signed=True)
+            assert got == _perturbative_reference(provider, spec, theta, p, 1.0, n_x, n_s)
+    # the commutator's Stieltjes sums run through the same routine
+    edges = tp._edges(-1.5, 1.7, 200, tp._sharp_points(spec))
+    cof = np.cos(0.5 * (edges[:-1] + edges[1:]))
+    assert tp._stieltjes_div(spec, 0.3, edges[..., None], cof) == _stieltjes_div_reference(spec, 0.3, edges, cof)
+
+
+@pytest.mark.parametrize(
+    "checker, change, match",
+    [
+        (tp.perturbative_residual, {"n_x": 0}, "n_x=0"),
+        (tp.weak_residual_ito, {"n_x": 0}, "n_x=0"),
+        (tp.weak_residual_ito, {"n_x": -3}, "n_x=-3"),
+        (tp.perturbative_residual, {"n_s": 0}, "n_s=0"),
+        (tp.perturbative_residual, {"n_s": -4}, "n_s=-4"),
+        (tp.perturbative_residual, {"spec": dr.Rotation2DDrift()}, "drift is 2-d, test function 1-d"),
+        (tp.weak_residual_ito, {"spec": dr.Rotation2DDrift()}, "drift is 2-d, test function 1-d"),
+        (tp.perturbative_residual, {"path": nz.sample_brownian(7, 0, 2, 1.0, 2**-6)}, "path 2-d"),
+        (tp.weak_residual_ito, {"path": nz.sample_brownian(7, 0, 2, 1.0, 2**-6)}, "path 2-d"),
+    ],
+)
+def test_weak_forms_reject_bad_arguments(checker, change, match):
+    args = dict(
+        provider=tp.ConstantField(0.7), spec=dr.ZeroDrift(), theta=tp.TestFunction(0.3, 1.5),
+        path=nz.sample_brownian(7, 0, 1, 1.0, 2**-6), t=1.0, n_x=16,
+    )
+    args.update(change)
+    with pytest.raises(tp.TransportError, match=match):
+        checker(**args)
+
+
+@pytest.mark.parametrize(
+    "center, radius",
+    [(0.0, 0.0), (0.0, -1.0), (0.0, np.inf), (0.0, np.nan), (np.nan, 1.0), (np.array([0.1, np.inf]), 1.0)],
+)
+def test_test_function_rejects_bad_support(center, radius):
+    with pytest.raises(tp.TransportError, match="finite center and a finite radius > 0"):
+        tp.TestFunction(center, radius)
 
 
 def test_ito_residual_dt_ladder():
