@@ -215,9 +215,8 @@ def mean_pde_mc(config):
     for lo in range(0, n_paths, block):
         hi = min(lo + block, n_paths)
         inc = _noise.sample_increments(config.seed, 1, g["T"], g["dt"], hi - lo, stream_offset=lo)
-        for i, x in enumerate(probes):
-            pre = _flow.march(spec, inc, [x], g["dt"], 0, k_t, backward=True)
-            mc[lo:hi, i] = u0(pre[:, 0])
+        pre = _flow.march(spec, inc[:, :, None, :], probes[:, None], g["dt"], 0, k_t, backward=True)
+        mc[lo:hi] = u0(pre[..., 0])
     mc_mean = mc.mean(axis=0)
 
     bar = _pb.solve_mean_pde(spec, u0, g["L"], g["n_x"], g["n_t"], g["T"])

@@ -187,7 +187,11 @@ def _static_problem(spec: Drift, f, L, n_x):
     if spec.time_dependent:
         raise ParabolicError("backward solvers need a time-independent drift")
     xs = np.linspace(-L, L, int(n_x) + 1)
-    return xs, _assemble(_drift_slice(spec, 0.0, xs), xs[1] - xs[0]), f(xs)
+    bands = _assemble(_drift_slice(spec, 0.0, xs), xs[1] - xs[0])
+    fx = f(xs)
+    if not np.all(np.isfinite(fx)):
+        raise ParabolicError("source f(xs) has non-finite values on the grid")
+    return xs, bands, fx
 
 
 def _cn_backward_march(bands, fsum, dt, lam, n_t, pad_steps):
@@ -273,6 +277,8 @@ def solve_mean_pde(spec: Drift, u0, L, n_x, n_t, T, laplacian_sign=1.0):
 
     bands = op_bands(0.0) if static else None
     u = np.asarray(u0(xs), dtype=float)
+    if not np.all(np.isfinite(u)):
+        raise ParabolicError("initial datum u0(xs) has non-finite values on the grid")
     values = np.empty((n_t + 1, len(xs)))
     values[0] = u
     c = 0.5 * dt

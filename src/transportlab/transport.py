@@ -453,10 +453,22 @@ class ShiftedFamilySolution:
 # weak-form residual checkers
 
 
-def _against_theta(u, theta, shift, n_x, splits):
+def _on_grid(values, points, name):
+    """``values`` of ``name`` at the tensor nodes ``points`` (..., d), checked to
+    have the node grid's shape: a field of another dimension does not."""
+    if np.shape(values) != points.shape[:-1]:
+        raise TransportError(
+            f"{name} gives values of shape {np.shape(values)} on a node grid of shape "
+            f"{points.shape[:-1]}; a {points.shape[-1]}-d weak form needs a {points.shape[-1]}-d field"
+        )
+    return values
+
+
+def _against_theta(u, theta, shift, n_x, splits, name):
     """int u(x) theta(x + shift) dx, cells split at ``splits``."""
     cells = _cells(theta, shift, n_x, splits)
-    return float(np.sum(cells.W * u(cells.x) * theta.value(cells.x + cells.shift)))
+    u_x = _on_grid(u(cells.x), cells.points, name)
+    return float(np.sum(cells.W * u_x * theta.value(cells.x + cells.shift)))
 
 
 def _drift_term(provider, spec, theta, s, cells, u):
@@ -469,8 +481,9 @@ def _drift_term(provider, spec, theta, s, cells, u):
     total = float(np.sum(b_grad * u))
     for i, e in enumerate(cells.edges):
         edge_points = _tensor(cells.nodes[:i] + (e,) + cells.nodes[i + 1:])
-        mids = _native(_tensor(cells.nodes[:i] + (0.5 * (e[:-1] + e[1:]),) + cells.nodes[i + 1:]))
-        cof = theta.value(mids + cells.shift) * provider(s, mids)
+        mid_points = _tensor(cells.nodes[:i] + (0.5 * (e[:-1] + e[1:]),) + cells.nodes[i + 1:])
+        mids = _native(mid_points)
+        cof = theta.value(mids + cells.shift) * _on_grid(provider(s, mids), mid_points, "provider")
         cof = reduce(np.multiply, cells.weights[:i] + cells.weights[i + 1:], cof)
         total += _stieltjes_div(spec, s, edge_points, cof, axis=i)
     return total
@@ -506,16 +519,19 @@ def perturbative_residual(provider, spec, theta, path, t, n_x=512, n_s=512, sign
 
     Space integrals run over supp theta shifted per time node (the integrand
     vanishes outside a bounded set for bounded paths) with ``n_x`` cells per
-    axis; time quadrature is a trapezoid on path-grid-aligned nodes.
+    axis; time quadrature is a trapezoid on path-grid-aligned nodes.  Each
+    time node evaluates the drift and the provider on (2 n_x)^d Gauss nodes:
+    in 2-d the default n_x = 512 makes that about a million nodes, roughly
+    120 MB of temporaries per node; pass a smaller ``n_x`` there.
     """
     _check_weak_form(spec, theta, path, n_x)
     idx, stride = _time_indices(path, t, n_s)
     wt = _noise.evaluate(path, t)
     grid_w = _noise.grid_values(path)
     lhs = _against_theta(lambda x: provider(t, x), theta, np.zeros(spec.dim), n_x,
-                         tuple(provider.discontinuities(t)))
+                         tuple(provider.discontinuities(t)), "provider")
     u0 = provider.u0
-    term0 = _against_theta(u0, theta, wt, n_x, tuple(getattr(u0, "discontinuities", ())))
+    term0 = _against_theta(u0, theta, wt, n_x, tuple(getattr(u0, "discontinuities", ())), "u0")
 
     sharp = _sharp_points(spec)
     ivals = np.empty(len(idx))
@@ -523,7 +539,8 @@ def perturbative_residual(provider, spec, theta, path, t, n_x=512, n_s=512, sign
         s = k * path.dt
         shift = wt - grid_w[k]
         cells = _cells(theta, shift, n_x, tuple(provider.discontinuities(s)) + sharp)
-        ivals[j] = _drift_term(provider, spec, theta, s, cells, provider(s, cells.x))
+        u = _on_grid(provider(s, cells.x), cells.points, "provider")
+        ivals[j] = _drift_term(provider, spec, theta, s, cells, u)
     rhs = term0 + float(np.trapezoid(ivals, dx=stride * path.dt))
     defect = lhs - rhs
     return defect if signed else abs(defect)
@@ -533,7 +550,9 @@ def weak_residual_ito(provider, spec, theta, path, t, n_x=512, signed=False):
     """Residual of the Ito weak form, left-point Ito sums on the path grid.
 
     Expected O(dt^(1/2)) noisier than the perturbative residual: the Ito sums
-    dominate the error budget.
+    dominate the error budget.  Every path-grid time node costs (2 n_x)^d
+    Gauss nodes, as in ``perturbative_residual`` (roughly 120 MB of temporaries
+    per node in 2-d at the default n_x = 512).
     """
     _check_weak_form(spec, theta, path, n_x)
     K = path.index_of(t)
@@ -545,16 +564,16 @@ def weak_residual_ito(provider, spec, theta, path, t, n_x=512, signed=False):
     for k in range(K + 1):
         s = k * path.dt
         cells = _cells(theta, zero, n_x, tuple(provider.discontinuities(s)) + sharp)
-        u = provider(s, cells.x)
+        u = _on_grid(provider(s, cells.x), cells.points, "provider")
         A[k] = _drift_term(provider, spec, theta, s, cells, u)
         wu = cells.W * u
         grad = np.reshape(theta.grad(cells.x), cells.points.shape)
         B[k] = [np.sum(wu * grad[..., i]) for i in range(spec.dim)]
         C[k] = float(np.sum(wu * theta.laplacian(cells.x)))
     lhs = _against_theta(lambda x: provider(t, x), theta, zero, n_x,
-                         tuple(provider.discontinuities(t)))
+                         tuple(provider.discontinuities(t)), "provider")
     u0 = provider.u0
-    term0 = _against_theta(u0, theta, zero, n_x, tuple(getattr(u0, "discontinuities", ())))
+    term0 = _against_theta(u0, theta, zero, n_x, tuple(getattr(u0, "discontinuities", ())), "u0")
     ito = float(np.sum(B[:-1] * path.increments[:K]))
     defect = (
         lhs

@@ -1,3 +1,4 @@
+import csv
 import io
 import struct
 
@@ -6,8 +7,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from transportlab import drift as dr
+from transportlab import experiments as ex
 from transportlab import flow as fl
+from transportlab import harness
 from transportlab import noise as nz
+from transportlab import transport as tp
 
 
 @pytest.fixture(scope="module")
@@ -366,6 +370,38 @@ def test_ensemble_binary_roundtrip_property(shape, n_times, data):
         assert getattr(again, name).tobytes() == getattr(ens, name).tobytes()  # signed zeros too
 
 
+@settings(max_examples=60, deadline=None)
+@given(shape=_lattices, n_times=st.integers(1, 4), data=st.data())
+def test_ensemble_csv_roundtrip_property(shape, n_times, data):
+    n, d = int(np.prod(shape)), len(shape)
+    values = lambda size: np.array(
+        data.draw(st.lists(st.floats(allow_nan=False, width=64), min_size=size, max_size=size)),
+        dtype=float,
+    )
+    times = values(n_times)
+    ens = fl.FlowEnsemble(
+        path=None, start=float(times[0]), times=times, initial=values(n * d).reshape(n, d),
+        states=values(n_times * n * d).reshape(n_times, n, d), lattice_shape=shape,
+        spacing=(0.0,) * d,
+    )
+    buf = io.StringIO()
+    fl.ensemble_to_csv(ens, buf)
+    rows = list(csv.reader(io.StringIO(buf.getvalue())))
+    header = rows[0]
+    assert header[0] == "t" and len(header) == 1 + n * d
+    initial = []
+    for col in header[1::d]:
+        coords = col.removeprefix("x0=").split(":")[0]
+        initial.append([float(c) for c in coords.split("_")])
+    assert np.array_equal(np.array(initial), ens.initial)
+    if d == 2:
+        assert [c.rsplit(":", 1)[1] for c in header[1:]] == ["x", "y"] * n
+    body = np.array([[float(v) for v in row] for row in rows[1:]])
+    assert np.array_equal(body[:, 0], ens.times)
+    assert np.array_equal(body[:, 1:].reshape(ens.states.shape), ens.states)
+    assert body[:, 1:].tobytes() == ens.states.tobytes()  # signed zeros too
+
+
 def test_ensemble_binary_keeps_2d_lattice():
     rot = dr.Rotation2DDrift(omega=0.5)
     p2 = nz.sample_brownian(3, 0, 2, 0.25, 2**-6)
@@ -459,6 +495,32 @@ def test_march_matches_one_path_oracles_bitwise(spec, d):
         assert np.array_equal(bwd[:, j], back)
         assert np.array_equal(bwd_end[j], _backward_batch_oracle(spec, inc[:, j], dt, X0, k0, k1))
         assert np.array_equal(bwd[-1, j], X0)
+
+
+def _mean_pde_mc_per_probe_oracle(config):
+    """The Monte Carlo mean of mean-pde-mc with one backward march per probe."""
+    g = config.grid
+    spec = ex._mollified_power(config)
+    u0 = tp.SmoothBumpDatum(0.0, 1.0)
+    probes = np.asarray(config.extra["probes"], dtype=float)
+    n_paths = int(config.ensemble)
+    k_t = int(round(g["T"] / g["dt"]))
+    mc = np.empty((n_paths, len(probes)))
+    block = 2000
+    for lo in range(0, n_paths, block):
+        hi = min(lo + block, n_paths)
+        inc = nz.sample_increments(config.seed, 1, g["T"], g["dt"], hi - lo, stream_offset=lo)
+        for i, x in enumerate(probes):
+            pre = fl.march(spec, inc, [x], g["dt"], 0, k_t, backward=True)
+            mc[lo:hi, i] = u0(pre[:, 0])
+    return mc.mean(axis=0)
+
+
+def test_mean_pde_mc_batched_probes_match_per_probe_oracle_bitwise():
+    # 2,100 paths: one full block of 2,000 and a partial one
+    config = harness.load_config("mean-pde-mc", overrides=["ensemble=2100", "grid.dt=0.03125"])
+    rep = harness.run_experiment(config, write=False)
+    assert [m for _, m in rep.series["x-vs-mc"]] == _mean_pde_mc_per_probe_oracle(config).tolist()
 
 
 def test_march_rejects_bad_step_range():

@@ -1,7 +1,9 @@
+import csv
 import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from transportlab import noise as nz
 
@@ -133,3 +135,25 @@ def test_csv_export():
     assert lines[0] == "t,W1,W2"
     assert len(lines) == p.n_steps + 2
     assert lines[1].startswith("0,0,0")
+
+
+_csv_floats = st.floats(min_value=-1e300, max_value=1e300, width=64)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    dt=st.floats(min_value=1e-300, max_value=1e3),
+    steps=st.integers(1, 8),
+    d=st.integers(1, 3),
+    data=st.data(),
+)
+def test_path_csv_roundtrip_property(dt, steps, d, data):
+    inc = data.draw(st.lists(_csv_floats, min_size=steps * d, max_size=steps * d))
+    p = nz.BrownianPath(dt=dt, increments=np.array(inc).reshape(steps, d))
+    buf = io.StringIO()
+    nz.path_to_csv(p, buf)
+    rows = list(csv.reader(io.StringIO(buf.getvalue())))
+    assert rows[0] == ["t"] + [f"W{i + 1}" for i in range(d)]
+    back = np.array([[float(v) for v in row] for row in rows[1:]])
+    assert np.array_equal(back[:, 0], p.times) and np.array_equal(back[:, 1:], p._grid)
+    assert back[:, 1:].tobytes() == p._grid.tobytes()  # signed zeros too

@@ -1,9 +1,11 @@
+import csv
 import io
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from transportlab import drift as dr
 from transportlab import flow as fl
@@ -225,6 +227,45 @@ def test_field_csv_and_sidecar():
     assert len(lines) == 4  # header + one row per x node
     meta = json.loads(side.getvalue())
     assert meta["n_x"] == 2 and meta["bc"] == "neumann"
+
+
+_csv_floats = st.floats(allow_nan=False, allow_infinity=False, width=64)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n_t=st.integers(1, 5), n_x=st.integers(1, 6), data=st.data())
+def test_field_csv_roundtrip_property(n_t, n_x, data):
+    draw = lambda size: np.array(data.draw(st.lists(_csv_floats, min_size=size, max_size=size)))
+    fld = pb.SpaceTimeField(xs=draw(n_x), ts=draw(n_t), values=draw(n_t * n_x).reshape(n_t, n_x))
+    buf = io.StringIO()
+    fld.to_csv(buf)
+    rows = list(csv.reader(io.StringIO(buf.getvalue())))
+    assert rows[0][0] == "x\\t"
+    ts = np.array([float(v) for v in rows[0][1:]])
+    body = np.array([[float(v) for v in row] for row in rows[1:]])
+    assert np.array_equal(ts, fld.ts) and np.array_equal(body[:, 0], fld.xs)
+    assert np.array_equal(body[:, 1:], fld.values.T)
+    assert body[:, 1:].T.tobytes() == fld.values.tobytes()  # signed zeros too
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_backward_solvers_reject_non_finite_source(bad):
+    f = lambda xs: np.where(xs > 0.5, bad, 1.0)
+    with pytest.raises(pb.ParabolicError, match="source f"):
+        pb.solve_backward_resolvent(dr.ZeroDrift(), f, 4.0, L=2.0, n_x=16, T=0.5, n_t=8)
+    with pytest.raises(pb.ParabolicError, match="source f"):
+        pb.solve_terminal_value(dr.ZeroDrift(), f, L=2.0, n_x=16, n_t=8, T=0.5)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_mean_pde_rejects_non_finite_datum_before_marching(bad, monkeypatch):
+    def no_march(*args):
+        raise AssertionError("marched a non-finite datum")
+
+    monkeypatch.setattr(pb, "_solve_bands", no_march)
+    u0 = lambda xs: np.where(np.abs(xs) < 0.1, bad, 0.0)
+    with pytest.raises(pb.ParabolicError, match="u0"):
+        pb.solve_mean_pde(dr.ZeroDrift(), u0, L=2.0, n_x=16, n_t=8, T=0.5)
 
 
 def test_resolvent_constant_ansatz_any_drift():

@@ -313,6 +313,30 @@ def test_weak_forms_reject_bad_arguments(checker, change, match):
         checker(**args)
 
 
+def _constant_with_1d_datum():
+    cf = tp.ConstantField(0.9, dim=2)
+    cf.u0 = tp.SmoothBumpDatum(0.0, 1.0)
+    return cf
+
+
+@pytest.mark.parametrize("checker", [tp.perturbative_residual, tp.weak_residual_ito])
+@pytest.mark.parametrize(
+    "make_provider, name",
+    [
+        pytest.param(lambda p: tp.ConstantField(0.9), "provider", id="constant-1d"),
+        pytest.param(lambda p: tp.ShiftedDatumSolution(p, tp.SmoothBumpDatum(0.0, 1.0)), "provider",
+                     id="shifted-datum"),
+        pytest.param(lambda p: _constant_with_1d_datum(), "u0", id="datum-1d"),
+    ],
+)
+def test_weak_forms_reject_provider_of_other_dimension(checker, make_provider, name):
+    p2 = nz.sample_brownian(3, 0, 2, 0.5, 2**-7)
+    theta = tp.TestFunction([0.1, -0.2], 1.0)
+    with pytest.raises(tp.TransportError, match=rf"^{name} gives values of shape \(32, 32, 2\) "
+                                                 rf"on a node grid of shape \(32, 32\)"):
+        checker(make_provider(p2), dr.Rotation2DDrift(), theta, p2, 0.5, n_x=16)
+
+
 @pytest.mark.parametrize(
     "center, radius",
     [(0.0, 0.0), (0.0, -1.0), (0.0, np.inf), (0.0, np.nan), (np.nan, 1.0), (np.array([0.1, np.inf]), 1.0)],
