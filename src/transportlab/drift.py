@@ -28,7 +28,6 @@ __all__ = [
     "bump_value",
     "bump_derivative",
     "mollify_drift",
-    "holder_seminorm_estimate",
     "drift_to_dict",
     "drift_from_dict",
     "drift_to_json",
@@ -479,7 +478,12 @@ class MollifiedDrift(Drift):
 
 @dataclass(frozen=True)
 class GridSampledDrift(Drift):
-    """1-d drift interpolated bilinearly from a space-time field."""
+    """1-d drift interpolated bilinearly from a space-time field.
+
+    The paper's drift is b(t, x); this is the time-dependent drift that
+    ``lab run mean-pde-mc --set drift=<grid_sampled JSON>`` reaches, and with
+    it the time-dependent march of ``parabolic.solve_mean_pde``.
+    """
 
     field: object = None
     dim: int = 1
@@ -499,30 +503,6 @@ class GridSampledDrift(Drift):
 def mollify_drift(spec: Drift, eps, quad_points=32):
     """Return the mollified variant b^eps = theta_eps * b."""
     return MollifiedDrift(base=spec, eps=float(eps), quad_points=int(quad_points))
-
-
-def holder_seminorm_estimate(spec: Drift, t, radius, alpha, n_pairs, seed):
-    """Sampled estimate of the alpha-Holder seminorm of b(t, .) on B(radius).
-
-    Draws ``n_pairs`` point pairs from a seeded stream; the estimate is the
-    running max over the pairs, so it is non-decreasing in ``n_pairs`` for a
-    fixed seed.  Degenerate pairs x == y are skipped.
-    """
-    if n_pairs < 1:
-        raise DriftError("need at least one sample pair")
-    if not 0.0 < alpha < 1.0:
-        raise DriftError("Holder exponent must lie in (0, 1)")
-    rng = np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
-    best = 0.0
-    for _ in range(int(n_pairs)):
-        pair = rng.uniform(-radius, radius, size=(2, spec.dim))
-        x, y = pair[0], pair[1]
-        dist = float(np.linalg.norm(x - y))
-        if dist == 0.0:
-            continue
-        num = float(np.linalg.norm(spec.value(t, x) - spec.value(t, y)))
-        best = max(best, num / dist**alpha)
-    return best
 
 
 # ---------------------------------------------------------------------------

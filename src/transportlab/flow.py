@@ -19,7 +19,6 @@ from .drift import Drift, HolderPowerDrift, _fields_equal
 __all__ = [
     "Trajectory",
     "FlowEnsemble",
-    "JacobianRecord",
     "FlowError",
     "march",
     "integrate_sde",
@@ -28,7 +27,6 @@ __all__ = [
     "inverse_flow_interpolate",
     "jacobian_fd",
     "jacobian_logdiv",
-    "jacobian_record",
     "log_jacobian_cumulative",
     "pathwise_uniqueness_probe",
     "sobolev_jacobian_probe",
@@ -110,15 +108,6 @@ class FlowEnsemble:
         return self.states[self.time_index(t)]
 
 
-@dataclass(frozen=True)
-class JacobianRecord:
-    point: np.ndarray
-    time: float
-    det_fd: float
-    log_div: float
-    fd_step: float
-
-
 # ---------------------------------------------------------------------------
 # integrators
 
@@ -197,6 +186,8 @@ def forward_flow(spec: Drift, path, grid, s, t_list):
         raise FlowError("grid must be 1-d points or an (n1, n2, 2) lattice")
     if not np.all(np.isfinite(initial)):
         raise FlowError("grid points must be finite")
+    if len(t_list) == 0:
+        raise FlowError("t_list needs at least one time")
     for t in t_list:
         path.index_of(t, "t_list entry")
     ks, kt = _grid_indices(path, s, max(t_list))
@@ -212,7 +203,11 @@ def forward_flow(spec: Drift, path, grid, s, t_list):
 
 
 def inverse_flow_backward(spec: Drift, path, y, s, t):
-    """phi_{s,t}^{-1}(y) via the backward SDE with negated drift and noise."""
+    """phi_{s,t}^{-1}(y) via the backward SDE with negated drift and noise.
+
+    No experiment calls it: it is the reference that tests compare the grid
+    inverse, ``inverse_flow_interpolate``, against.
+    """
     ks, kt = _grid_indices(path, s, t)
     y = np.atleast_1d(np.asarray(y, dtype=float))
     return march(spec, path.increments, y[None, :], path.dt, ks, kt, backward=True)[0]
@@ -223,82 +218,21 @@ def inverse_flow_backward(spec: Drift, path, y, s, t):
 
 
 def inverse_flow_interpolate(ens: FlowEnsemble, y, t):
-    """Invert the forward ensemble map at time t.
-
-    d=1: monotone piecewise-linear inversion (valid by order preservation).
-    d=2: locate the containing image quadrilateral and invert bilinearly.
-    """
+    """Invert a 1-d forward ensemble map at time t by monotone piecewise-linear
+    interpolation (valid by order preservation)."""
+    if ens.d != 1:
+        raise FlowError(f"grid inversion is one-dimensional; the ensemble is {ens.d}-d")
     img = ens.states_at(t)
     y = np.asarray(y, dtype=float)
-    if ens.d == 1:
-        f = img[:, 0]
-        x = ens.initial[:, 0]
-        lo, hi = f[0], f[-1]
-        ys = y[..., 0] if (y.ndim > 1 and y.shape[-1] == 1) else y
-        if np.any(ys < lo) or np.any(ys > hi):
-            raise FlowError(
-                f"point outside the image range [{lo:.6g}, {hi:.6g}] at t={t}"
-            )
-        return np.interp(ys, f, x)
-    y = np.atleast_1d(y)
-    if ens.d == 2:
-        return _invert_bilinear(ens, img, y, t)
-    raise FlowError("grid inversion implemented for d in (1, 2)")
-
-
-def _invert_bilinear(ens, img, y, t):
-    n1, n2 = ens.lattice_shape
-    quad = img.reshape(n1, n2, 2)
-    init = ens.initial.reshape(n1, n2, 2)
-    for i in range(n1 - 1):
-        for j in range(n2 - 1):
-            corners = (quad[i, j], quad[i + 1, j], quad[i, j + 1], quad[i + 1, j + 1])
-            ab = _bilinear_newton(corners, y)
-            if ab is not None:
-                a, b = ab
-                x00, x10, x01, x11 = (
-                    init[i, j],
-                    init[i + 1, j],
-                    init[i, j + 1],
-                    init[i + 1, j + 1],
-                )
-                return (
-                    (1 - a) * (1 - b) * x00
-                    + a * (1 - b) * x10
-                    + (1 - a) * b * x01
-                    + a * b * x11
-                )
-    raise FlowError(f"point {y} outside the image mesh at t={t}")
-
-
-def _bilinear_newton(corners, y, tol=1e-12):
-    q00, q10, q01, q11 = corners
-    lo = np.minimum.reduce(corners) - 1e-12
-    hi = np.maximum.reduce(corners) + 1e-12
-    if np.any(y < lo) or np.any(y > hi):
-        return None
-    a, b = 0.5, 0.5
-    for _ in range(30):
-        base = (
-            (1 - a) * (1 - b) * q00 + a * (1 - b) * q10 + (1 - a) * b * q01 + a * b * q11
+    f = img[:, 0]
+    x = ens.initial[:, 0]
+    lo, hi = f[0], f[-1]
+    ys = y[..., 0] if (y.ndim > 1 and y.shape[-1] == 1) else y
+    if np.any(ys < lo) or np.any(ys > hi):
+        raise FlowError(
+            f"point outside the image range [{lo:.6g}, {hi:.6g}] at t={t}"
         )
-        r = base - y
-        if np.max(np.abs(r)) < tol:
-            break
-        da = (1 - b) * (q10 - q00) + b * (q11 - q01)
-        db = (1 - a) * (q01 - q00) + a * (q11 - q10)
-        J = np.stack([da, db], axis=1)
-        try:
-            step = np.linalg.solve(J, r)
-        except np.linalg.LinAlgError:
-            return None
-        a -= step[0]
-        b -= step[1]
-    else:
-        return None
-    if -1e-9 <= a <= 1 + 1e-9 and -1e-9 <= b <= 1 + 1e-9:
-        return min(max(a, 0.0), 1.0), min(max(b, 0.0), 1.0)
-    return None
+    return np.interp(ys, f, x)
 
 
 # ---------------------------------------------------------------------------
@@ -326,23 +260,6 @@ def jacobian_fd(ens: FlowEnsemble, index, t):
         col2 = (quad[i, j + 1] - quad[i, j - 1]) / (2.0 * h2)
         return float(col1[0] * col2[1] - col1[1] * col2[0])
     raise FlowError("jacobian_fd implemented for d in (1, 2)")
-
-
-def jacobian_record(spec: Drift, ens: FlowEnsemble, index, t, div_step=1e-5):
-    """Both Jacobian routes at one lattice point, bundled for comparison."""
-    if ens.path is None:
-        raise FlowError("ensemble has no driving path (a binary dump stores no time step)")
-    det = jacobian_fd(ens, index, t)
-    i = index if ens.d == 1 else index[0] * ens.lattice_shape[1] + index[1]
-    k = ens.time_index(t) + 1
-    logdiv = jacobian_logdiv(spec, ens.times[:k], ens.states[:k, i], ens.path.dt, div_step)
-    return JacobianRecord(
-        point=np.asarray(ens.initial[i], dtype=float),
-        time=float(t),
-        det_fd=float(det),
-        log_div=float(logdiv),
-        fd_step=float(ens.spacing[0]),
-    )
 
 
 def jacobian_logdiv(spec: Drift, times, states, dt, div_step=1e-5):
@@ -373,10 +290,10 @@ def log_jacobian_cumulative(spec: Drift, paths, xs, t, s=0.0, div_step=1e-5):
 
     Returns (times, logJ) with logJ[k, j, i] for time k, path j, point i.
     """
+    inc = _noise.stacked_increments(paths)[:, :, None, :]
     xs = np.asarray(xs, dtype=float)
     ks, kt = _grid_indices(paths[0], s, t)
     dt = paths[0].dt
-    inc = _noise.stacked_increments(paths)[:, :, None, :]
     states = march(spec, inc, xs[:, None], dt, ks, kt, record=True)
     times = dt * np.arange(ks, kt + 1)
     vals = np.empty(states.shape[:-1])
@@ -415,11 +332,11 @@ def pathwise_uniqueness_probe(spec: Drift, paths, x0, delta_list, t):
     the HolderPower drift started at its degenerate point the closed-form
     extremal-branch separation 2 t^(1/(1-gamma)) is attached as well.
     """
+    inc = _noise.stacked_increments(paths)[:, :, None, :]
     x0 = float(np.asarray(x0).reshape(-1)[0])
     ks, kt = _grid_indices(paths[0], 0.0, t)
     dt = paths[0].dt
     starts = np.array([x0] + [x0 + delta for delta in delta_list])[:, None]
-    inc = _noise.stacked_increments(paths)[:, :, None, :]
     noisy = march(spec, inc, starts, dt, ks, kt, record=True)[..., 0]
     zero = _noise.zero_path(paths[0].d, paths[0].T, dt)
     det = march(spec, zero.increments, starts, dt, ks, kt, record=True)[..., 0]

@@ -18,7 +18,6 @@ from .drift import bump_value, bump_derivative, _bump_mass, _fields_equal, _gaus
 __all__ = [
     "BrownianPath",
     "SmoothedPath",
-    "BumpKernel",
     "sample_brownian",
     "sample_increments",
     "stacked_increments",
@@ -171,44 +170,28 @@ def path_to_csv(path: BrownianPath, fileobj):
 
 
 @dataclass(frozen=True)
-class BumpKernel:
-    """Smooth non-negative profile with support (-1, 1) and unit integral."""
-
-    def value(self, u):
-        return bump_value(u) / _bump_mass(1)
-
-    def derivative(self, u):
-        return bump_derivative(u) / _bump_mass(1)
-
-
-@dataclass(frozen=True)
 class SmoothedPath:
     """Differentiable approximation of a Brownian path.
 
     value(t) convolves the base path against n theta(n(t-s)); derivative(t)
-    against n^2 theta'(n(t-s)).  The base path is extended by 0 below 0 and
-    by W(T) above T, so value(t) reads the path only on (t-1/n, t+1/n).
-    Quadrature nodes are fixed per instance; weights are normalized so that
-    affine test paths are reproduced exactly away from the ends.
+    against n^2 theta'(n(t-s)), where theta is the unit-mass bump kernel
+    on (-1, 1).  The base path is extended by 0 below 0 and by W(T) above T,
+    so value(t) reads the path only on (t-1/n, t+1/n).  Quadrature runs on
+    32 fixed Gauss nodes; weights are normalized so that affine test paths
+    are reproduced exactly away from the ends.
     """
 
     base: BrownianPath
     n: int
-    kernel: BumpKernel = field(default_factory=BumpKernel)
-    quad_points: int = 32
 
     def __post_init__(self):
         if self.n < 1:
             raise NoiseError("smoothing index n must be >= 1")
-        if self.quad_points < 16:
-            raise NoiseError("smoothing quadrature needs at least 16 nodes")
-        u, w = _gauss_nodes(self.quad_points + self.quad_points % 2)
-        kv = w * self.kernel.value(u)
+        u, w = _gauss_nodes(32)
+        kv = w * (bump_value(u) / _bump_mass(1))
         object.__setattr__(self, "_u", u)
         object.__setattr__(self, "_wval", kv / kv.sum())
-        if not hasattr(self.kernel, "derivative"):
-            raise NoiseError("kernel lacks a derivative rule")
-        kd = w * self.kernel.derivative(u)
+        kd = w * (bump_derivative(u) / _bump_mass(1))
         # enforce int u theta'(u) du = -1 discretely so d/dt of affine is exact
         scale = -float(np.sum(kd * u))
         object.__setattr__(self, "_wder", kd / scale)
@@ -231,8 +214,6 @@ class SmoothedPath:
         return self.n * (self._wder @ w)
 
 
-def wong_zakai_smooth(path: BrownianPath, n, kernel=None, quad_points=32):
+def wong_zakai_smooth(path: BrownianPath, n):
     """Smoothed path W_n with value(t) and derivative(t) accessors."""
-    if kernel is None:
-        kernel = BumpKernel()
-    return SmoothedPath(base=path, n=int(n), kernel=kernel, quad_points=quad_points)
+    return SmoothedPath(base=path, n=int(n))

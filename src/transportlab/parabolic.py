@@ -182,16 +182,30 @@ def _drift_slice(spec: Drift, t, xs):
     return spec.value(t, xs[:, None])[:, 0]
 
 
-def _static_problem(spec: Drift, f, L, n_x):
-    """Grid, operator bands and source f(xs) of a backward problem, built once."""
+def _grid(L, n_x, T, n_t):
+    """Nodes of [-L, L] in n_x cells and the step of [0, T] in n_t steps."""
+    for name, value, ok in (
+        ("n_x", n_x, n_x >= 1),
+        ("n_t", n_t, n_t >= 1),
+        ("L", L, 0 < L < math.inf),
+        ("T", T, 0 < T < math.inf),
+    ):
+        if not ok:
+            raise ParabolicError(f"{name}={value!r}: need n_x, n_t >= 1 and finite L, T > 0")
+    return np.linspace(-L, L, int(n_x) + 1), T / int(n_t)
+
+
+def _static_problem(spec: Drift, f, L, n_x, T, n_t):
+    """Grid, time step, operator bands and source f(xs) of a backward problem,
+    built once."""
+    xs, dt = _grid(L, n_x, T, n_t)
     if spec.time_dependent:
         raise ParabolicError("backward solvers need a time-independent drift")
-    xs = np.linspace(-L, L, int(n_x) + 1)
     bands = _assemble(_drift_slice(spec, 0.0, xs), xs[1] - xs[0])
     fx = f(xs)
     if not np.all(np.isfinite(fx)):
         raise ParabolicError("source f(xs) has non-finite values on the grid")
-    return xs, bands, fx
+    return xs, dt, bands, fx
 
 
 def _cn_backward_march(bands, fsum, dt, lam, n_t, pad_steps):
@@ -233,8 +247,7 @@ def solve_backward_resolvent(
     """
     if lam <= 0:
         raise ParabolicError("resolvent parameter lambda must be positive")
-    xs, bands, fx = _static_problem(spec, f, L, n_x)
-    dt = T / int(n_t)
+    xs, dt, bands, fx = _static_problem(spec, f, L, n_x, T, n_t)
     fmax = float(np.max(np.abs(fx)))
     needed = math.log(max(fmax, tol) / tol) / lam
     pad = needed if horizon_pad is None else float(horizon_pad)
@@ -253,8 +266,7 @@ def solve_backward_resolvent(
 def solve_terminal_value(spec: Drift, f, L, n_x, n_t, T):
     """Terminal-value problem d_t F + Laplacian F / 2 + b.DF = f, F(T, .) = 0,
     for a time-independent ``spec`` and a source ``f(xs)``."""
-    xs, bands, fx = _static_problem(spec, f, L, n_x)
-    dt = T / int(n_t)
+    xs, dt, bands, fx = _static_problem(spec, f, L, n_x, T, n_t)
     values = _cn_backward_march(bands, fx + fx, dt, 0.0, int(n_t), 0)
     ts = dt * np.arange(n_t + 1)
     return SpaceTimeField(xs=xs, ts=ts, values=values)
@@ -265,9 +277,10 @@ def solve_mean_pde(spec: Drift, u0, L, n_x, n_t, T, laplacian_sign=1.0):
 
     ``laplacian_sign=-1`` solves the (ill-posed) flipped equation; it exists
     as the negative control of the Monte Carlo comparison and will blow up.
+    The paper's drift is b(t, x): a time-dependent ``spec`` (a grid-sampled
+    drift) rebuilds the operator bands at every step.
     """
-    xs = np.linspace(-L, L, int(n_x) + 1)
-    dt = T / int(n_t)
+    xs, dt = _grid(L, n_x, T, n_t)
     h = xs[1] - xs[0]
     static = not spec.time_dependent
 
@@ -438,13 +451,14 @@ def ito_tanaka_check(spec: Drift, f, paths, x0, L, n_x, n_t, t=None, F=None, DF=
     ``paths`` are marched at once and share one (F, DF) pair, which may be
     passed in precomputed.  Returns one report per path, in path order.
     """
+    inc = _noise.stacked_increments(paths)
     if t is None:
         t = paths[0].T
     if F is None:
         F = solve_terminal_value(spec, f, L, n_x, n_t, T=t)
     kt = paths[0].index_of(t, "t")
     dt = paths[0].dt
-    inc = _noise.stacked_increments(paths)[:kt, :, 0]
+    inc = inc[:kt, :, 0]
     x0 = float(np.atleast_1d(x0)[0])
     xs = _flow.march(spec, inc[:, :, None], [x0], dt, 0, kt, record=True)[..., 0]
     times = dt * np.arange(kt + 1)

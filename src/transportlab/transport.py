@@ -29,12 +29,11 @@ import numpy as np
 
 from . import flow as _flow
 from . import noise as _noise
-from .drift import Drift, HolderPowerDrift, Mollifier, _fields_equal
+from .drift import Drift, HolderPowerDrift, Mollifier
 
 __all__ = [
     "StepDatum",
     "SmoothBumpDatum",
-    "GridSampledDatum",
     "TestFunction",
     "TransportError",
     "CharacteristicsSolution",
@@ -43,7 +42,6 @@ __all__ = [
     "ShiftedFamilySolution",
     "ConstantField",
     "CommutatorReport",
-    "solve_by_characteristics",
     "deterministic_family",
     "perturbative_residual",
     "weak_residual_ito",
@@ -98,28 +96,6 @@ class SmoothBumpDatum:
         return ()
 
 
-@dataclass(frozen=True)
-class GridSampledDatum:
-    xs: np.ndarray
-    values: np.ndarray
-
-    __eq__ = _fields_equal
-
-    def __hash__(self):
-        return hash(self.values.shape)
-
-    def __call__(self, x):
-        return np.interp(np.asarray(x, dtype=float), self.xs, self.values)
-
-    @property
-    def sup_norm(self):
-        return float(np.max(np.abs(self.values)))
-
-    @property
-    def discontinuities(self):
-        return ()
-
-
 # ---------------------------------------------------------------------------
 # C^2 compactly supported test functions
 
@@ -163,6 +139,8 @@ class TestFunction:
         return -6.0 * (x - self.center) * w[..., None] / self.radius**2
 
     def laplacian(self, x):
+        """Laplacian of theta: it enters only the Ito form of the weak
+        formulation (``weak_residual_ito``)."""
         q = self._q(x)
         inside = q < 1.0
         qc = np.minimum(q, 1.0)
@@ -257,7 +235,11 @@ def _sharp_points(spec: Drift):
 
 
 class ConstantField:
-    """u identically constant (trivial solution for divergence-free drift)."""
+    """u identically constant (trivial solution for divergence-free drift).
+
+    No experiment uses it: it is an exact solution that tests hold the weak
+    forms against.
+    """
 
     def __init__(self, value, dim=1):
         self.c = float(value)
@@ -274,7 +256,11 @@ class ConstantField:
 
 
 class ShiftedDatumSolution:
-    """Exact zero-drift solution u(s, x) = u0(x - W_s)."""
+    """Exact zero-drift solution u(s, x) = u0(x - W_s).
+
+    No experiment uses it: it is the closed form that tests compare the weak
+    forms and the characteristics solution against.
+    """
 
     def __init__(self, path, u0):
         self.path = path
@@ -292,9 +278,11 @@ class ShiftedDatumSolution:
 class CharacteristicsSolution:
     """u(s, x) = u0(phi_s^{-1}(x)) through a forward grid ensemble.
 
-    The ensemble is built once on construction over ``x_span``; jump points of
-    u0 are integrated alongside so their images (the moving discontinuities)
-    are known at every stored time.
+    The solution the paper proves unique under noise; the noisy branch of
+    ``uniqueness_gap_experiment`` holds it to the weak form.  The ensemble is
+    built once on construction over ``x_span``; jump points of u0 are
+    integrated alongside so their images (the moving discontinuities) are
+    known at every stored time.
     """
 
     def __init__(self, spec, path, u0, x_span, n_grid=513, t_max=None):
@@ -323,28 +311,6 @@ class CharacteristicsSolution:
             return ()
         k = self.ens.time_index(s)
         return tuple(self._jumps[k])
-
-
-def solve_by_characteristics(spec, path, u0, t, x_grid, route="grid", ens=None, margin=1.0):
-    """Characteristic solution values on x_grid at time t.
-
-    route="grid" inverts a forward ensemble (fast, order-preserving);
-    route="backward" integrates the backward SDE from every grid point.
-    """
-    x_grid = np.asarray(x_grid, dtype=float)
-    if route == "backward":
-        k_t = path.index_of(t)
-        pre = _flow.march(spec, path.increments, x_grid[:, None], path.dt, 0, k_t, backward=True)
-        return u0(pre[:, 0])
-    if ens is None:
-        w = _noise.grid_values(path)[:, 0]
-        reach = spec.sup_norm(radius=float(np.max(np.abs(x_grid))) + margin) * t
-        lo = float(x_grid.min()) - reach - float(np.max(np.abs(w))) - margin
-        hi = float(x_grid.max()) + reach + float(np.max(np.abs(w))) + margin
-        n = max(513, 2 * len(x_grid) + 1)
-        ens = _flow.forward_flow(spec, path, np.linspace(lo, hi, n), 0.0, [t])
-    pre = _flow.inverse_flow_interpolate(ens, x_grid, t)
-    return u0(pre)
 
 
 # ---------------------------------------------------------------------------
@@ -432,7 +398,8 @@ class ShiftedFamilySolution:
     """The family formula naively dragged along the noise: u_det(s, x - W_s).
 
     Not a solution of the noisy equation; serves as the negative control in
-    the uniqueness-gap experiment.
+    the noisy branch of the uniqueness-gap experiment, the theorem's side of
+    it: under noise, a noiseless weak solution is no longer a solution.
     """
 
     def __init__(self, family: DeterministicFamilySolution, path):
@@ -549,6 +516,11 @@ def perturbative_residual(provider, spec, theta, path, t, n_x=512, n_s=512, sign
 def weak_residual_ito(provider, spec, theta, path, t, n_x=512, signed=False):
     """Residual of the Ito weak form, left-point Ito sums on the path grid.
 
+    The paper states weak solutions of the noisy equation in this Ito form,
+    u_t(theta) = u_0(theta) + int_0^t u_s(b . Dtheta + div b theta) ds
+    + int_0^t u_s(Dtheta) . dW_s + 1/2 int_0^t u_s(Laplacian theta) ds;
+    ``perturbative_residual`` is its pathwise rewriting.
+
     Expected O(dt^(1/2)) noisier than the perturbative residual: the Ito sums
     dominate the error budget.  Every path-grid time node costs (2 n_x)^d
     Gauss nodes, as in ``perturbative_residual`` (roughly 120 MB of temporaries
@@ -642,6 +614,10 @@ class CommutatorReport:
 
 def commutator_ladder(v, g, rho, eps_ladder, n_outer=256, inner_cells=24, t=0.0):
     """Evaluate the commutator along an eps ladder and fit its decay rate."""
+    if len(eps_ladder) < 2:
+        raise TransportError(
+            f"a decay rate needs an eps ladder of 2 or more entries, got {len(eps_ladder)}"
+        )
     values = tuple(
         commutator(v, g, e, rho, n_outer=n_outer, inner_cells=inner_cells, t=t)
         for e in eps_ladder
@@ -766,7 +742,8 @@ def uniqueness_gap_experiment(
     noise off: several family members all carry a near-zero pathwise
     residual while being far apart in sup norm (non-uniqueness certified).
     noise on: the characteristics solution keeps a small residual while the
-    naively shifted family member does not.
+    naively shifted family member does not.  That branch is the theorem
+    itself (uniqueness is restored by noise); no stock experiment runs it.
     """
     spec = HolderPowerDrift(gamma=gamma, cap=cap, signed=True)
     if theta is None:

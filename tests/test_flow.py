@@ -11,6 +11,7 @@ from transportlab import experiments as ex
 from transportlab import flow as fl
 from transportlab import harness
 from transportlab import noise as nz
+from transportlab import parabolic as pb
 from transportlab import transport as tp
 
 
@@ -162,15 +163,37 @@ def test_inverse_interpolate_identity_and_domain(path):
 
 
 def test_inverse_interpolate_2d():
+    # the grid inverse is 1-d only; a 2-d ensemble is refused, not misread
     rot = dr.Rotation2DDrift(omega=1.0)
     p2 = nz.sample_brownian(3, 1, 2, 0.5, 2**-8)
     side = np.linspace(-1, 1, 17)
     lattice = np.stack(np.meshgrid(side, side, indexing="ij"), axis=-1)
     ens = fl.forward_flow(rot, p2, lattice, 0.0, [0.5])
-    pt = np.array([0.2, -0.3])
-    img = fl.integrate_sde(rot, p2, pt, 0.0, 0.5).states[-1]
-    back = fl.inverse_flow_interpolate(ens, img, 0.5)
-    assert np.linalg.norm(back - pt) < 1e-10
+    with pytest.raises(fl.FlowError, match="one-dimensional; the ensemble is 2-d"):
+        fl.inverse_flow_interpolate(ens, np.array([0.2, -0.3]), 0.5)
+
+
+def test_forward_flow_needs_a_time(path):
+    with pytest.raises(fl.FlowError, match="t_list"):
+        fl.forward_flow(dr.ZeroDrift(), path, np.linspace(-1, 1, 5), 0.0, [])
+
+
+@pytest.mark.parametrize(
+    "probe",
+    [
+        pytest.param(lambda: pb.ito_tanaka_check(
+            dr.ZeroDrift(), lambda x: x, [], 0.0, 4.0, 64, 64, t=0.5), id="ito_tanaka_check"),
+        pytest.param(lambda: fl.pathwise_uniqueness_probe(
+            dr.ZeroDrift(), [], 0.0, [0.1], 0.5), id="pathwise_uniqueness_probe"),
+        pytest.param(lambda: fl.sobolev_jacobian_probe(
+            [0.5], [0.1], [], 1.0, n_x=8, t=0.5), id="sobolev_jacobian_probe"),
+        pytest.param(lambda: fl.log_jacobian_cumulative(
+            dr.ZeroDrift(), [], np.linspace(-1, 1, 5), 0.5), id="log_jacobian_cumulative"),
+    ],
+)
+def test_empty_path_list_raises_noise_error(probe):
+    with pytest.raises(nz.NoiseError, match="one or more paths"):
+        probe()
 
 
 def test_jacobian_rotation_near_one():
@@ -301,28 +324,6 @@ def test_single_time_objects(path):
     assert traj.at(0.5)[0] == 0.3
     with pytest.raises(fl.FlowError, match="not on the trajectory grid"):
         traj.at(0.75)
-
-
-def test_jacobian_record_bundle(path):
-    spec = dr.mollify_drift(dr.HolderPowerDrift(gamma=0.7, cap=2.0), 0.05)
-    xs = np.linspace(-0.5, 0.5, 65)
-    ens = fl.forward_flow(spec, path, xs, 0.0, [0.5])
-    rec = fl.jacobian_record(spec, ens, 32, 0.5)
-    assert rec.point[0] == pytest.approx(xs[32])
-    assert rec.fd_step == pytest.approx(xs[1] - xs[0])
-    assert abs(np.exp(rec.log_div) - rec.det_fd) / rec.det_fd < 5e-2
-
-
-def test_jacobian_record_rejects_reloaded_ensemble(path):
-    # a binary dump keeps the states but not the driving path's time step
-    spec = dr.mollify_drift(dr.HolderPowerDrift(gamma=0.7, cap=2.0), 0.05)
-    ens = fl.forward_flow(spec, path, np.linspace(-0.5, 0.5, 65), 0.0, [0.5])
-    raw = io.BytesIO()
-    fl.ensemble_to_binary(ens, raw)
-    again = fl.ensemble_from_binary(io.BytesIO(raw.getvalue()))
-    assert again.path is None
-    with pytest.raises(fl.FlowError, match="time step"):
-        fl.jacobian_record(spec, again, 32, 0.5)
 
 
 def test_measure_preservation_fine_lattice():

@@ -113,16 +113,8 @@ def test_smoothing_causality():
     assert max(seen) <= 0.5 + 1.0 / 8 + 1e-12
 
 
-def test_kernel_without_derivative_rejected():
-    class Flat:
-        def value(self, u):
-            return nz.BumpKernel().value(u)
-
+def test_smoothing_index_rejected():
     p = nz.sample_brownian(1, 0, 1, 1.0, 1 / 64)
-    with pytest.raises(nz.NoiseError):
-        nz.SmoothedPath(base=p, n=4, kernel=Flat())
-    with pytest.raises(nz.NoiseError):
-        nz.wong_zakai_smooth(p, 4, quad_points=8)
     with pytest.raises(nz.NoiseError):
         nz.wong_zakai_smooth(p, 0)
 

@@ -268,6 +268,23 @@ def test_mean_pde_rejects_non_finite_datum_before_marching(bad, monkeypatch):
         pb.solve_mean_pde(dr.ZeroDrift(), u0, L=2.0, n_x=16, n_t=8, T=0.5)
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [{"n_x": 0}, {"n_t": 0}, {"L": 0.0}, {"L": -1.0}, {"L": np.nan}, {"T": 0.0}, {"T": np.inf}],
+    ids=["n_x=0", "n_t=0", "L=0", "L<0", "L=nan", "T=0", "T=inf"],
+)
+def test_solvers_reject_bad_grid(bad):
+    # n_x=0 was an IndexError, n_t=0 a ZeroDivisionError, L=0 a field of NaN warnings
+    grid = {"L": 2.0, "n_x": 16, "n_t": 8, "T": 0.5, **bad}
+    name = next(iter(bad))
+    with pytest.raises(pb.ParabolicError, match=f"^{name}="):
+        pb.solve_backward_resolvent(dr.ZeroDrift(), const_f(1.0), 4.0, **grid)
+    with pytest.raises(pb.ParabolicError, match=f"^{name}="):
+        pb.solve_terminal_value(dr.ZeroDrift(), const_f(1.0), **grid)
+    with pytest.raises(pb.ParabolicError, match=f"^{name}="):
+        pb.solve_mean_pde(dr.ZeroDrift(), const_f(1.0), **grid)
+
+
 def test_resolvent_constant_ansatz_any_drift():
     # constants kill the advection term: u = -c/lam for every bounded b
     lam = 4.0

@@ -109,11 +109,14 @@ def test_branch_capped_inverse():
 def test_characteristics_zero_drift(path):
     u0 = tp.SmoothBumpDatum(0.0, 0.8)
     xg = np.linspace(-1, 1, 21)
-    vals = tp.solve_by_characteristics(dr.ZeroDrift(), path, u0, 1.0, xg)
     w = nz.evaluate(path, 1.0)[0]
-    assert np.allclose(vals, u0(xg - w), atol=1e-10)
-    vals_b = tp.solve_by_characteristics(dr.ZeroDrift(), path, u0, 1.0, xg, route="backward")
-    assert np.allclose(vals_b, u0(xg - w), atol=1e-12)
+    # grid route: a 513-point lattice reaching one unit past the grid and the path
+    reach = 2.0 + float(np.max(np.abs(nz.grid_values(path))))
+    sol = tp.CharacteristicsSolution(dr.ZeroDrift(), path, u0, x_span=(-reach, reach), n_grid=513)
+    assert np.allclose(sol(1.0, xg), u0(xg - w), atol=1e-10)
+    # backward route: the backward SDE from every grid point
+    pre = [fl.inverse_flow_backward(dr.ZeroDrift(), path, [x], 0.0, 1.0)[0] for x in xg]
+    assert np.allclose(u0(np.array(pre)), u0(xg - w), atol=1e-12)
 
 
 def test_characteristics_identity_at_zero_time(path):
@@ -574,12 +577,9 @@ def test_commutator_ladder_report():
         tp.CommutatorReport(eps_ladder=(0.1, 0.2), values=(1.0, 1.0), decay_exponent=0.0)
 
 
-def test_grid_sampled_datum():
-    datum = tp.GridSampledDatum(xs=np.linspace(-1, 1, 5), values=np.array([0., 1., 0.5, 1., 0.]))
-    assert datum(0.0) == 0.5
-    assert datum.sup_norm == 1.0
-    assert datum.discontinuities == ()
-    same = tp.GridSampledDatum(xs=np.linspace(-1, 1, 5), values=np.array([0., 1., 0.5, 1., 0.]))
-    assert datum == same and hash(datum) == hash(same)
-    assert datum != tp.GridSampledDatum(xs=np.linspace(-1, 1, 5), values=np.zeros(5))
-    assert datum != tp.GridSampledDatum(xs=np.linspace(-1, 1, 3), values=np.zeros(3))
+@pytest.mark.parametrize("ladder", [(), (0.1,)])
+def test_commutator_ladder_needs_two_entries(ladder):
+    # one eps gave a one-point polyfit (RankWarning), none numpy's TypeError
+    v = dr.HolderPowerDrift(gamma=0.5, cap=2.0, signed=False)
+    with pytest.raises(tp.TransportError, match=f"got {len(ladder)}"):
+        tp.commutator_ladder(v, tp.StepDatum(0.0), tp.TestFunction(0.3, 1.2), ladder)
