@@ -139,6 +139,8 @@ def _bump_mass(dim):
 
 
 _BUMP_MASS: dict[int, float] = {}
+# element budget of one grouped base call of a mollified drift (see _fan_out)
+_GROUP_ELEMENTS = 16384
 _NODE_CACHE: dict[tuple, tuple] = {}
 _STIELTJES_CACHE: dict[tuple, tuple] = {}
 
@@ -437,12 +439,28 @@ class MollifiedDrift(Drift):
     def _nodes(self):
         return _mollifier_nodes(self.eps, self.dim, self.quad_points)
 
+    def _fan_out(self, t, x, shifts):
+        """Base values at x + s for each row s of ``shifts`` (n, dim), in order.
+
+        Yields (lo, values), values of shape (k, *x.shape) for shifts lo..lo+k-1.
+        k is the most shifts whose points fit in _GROUP_ELEMENTS, and at least
+        one: a small batch makes one base call for all shifts, a large one keeps
+        one call, and one point array's memory, per shift.
+        """
+        k = min(max(_GROUP_ELEMENTS // max(x.size, 1), 1), len(shifts))
+        shifts = shifts.reshape((-1,) + (1,) * (x.ndim - 1) + (self.dim,))
+        for lo in range(0, len(shifts), k):
+            yield lo, self.base._value(t, x + shifts[lo : lo + k])
+
     def _value(self, t, x):
         offsets, weights = self._nodes()
+        weights = weights.reshape((-1,) + (1,) * x.ndim)
         acc = None
-        for off, w in zip(offsets, weights):
-            term = w * self.base._value(t, x - off)
-            acc = term if acc is None else acc + term
+        # x + (-o) has the bits of x - o; the fold runs row by row, in node
+        # order, because a reduction over the node axis may sum pairwise
+        for lo, vals in self._fan_out(t, x, -offsets):
+            for term in weights[lo : lo + len(vals)] * vals:
+                acc = term if acc is None else acc + term
         return acc
 
     def divergence_analytic(self, t, x):
@@ -456,11 +474,12 @@ class MollifiedDrift(Drift):
         """
         if self.dim == 1:
             edges, kern = _stieltjes_kernel(self.eps, max(2 * self.quad_points, 64))
-            # streamed: only the last edge value stays alive between terms
-            prev = self.base._value(t, x + edges[0])[..., 0]
+            # streamed: one group of edge values and the last edge before it
+            # stay alive between terms
+            rows = (cur for _, vals in self._fan_out(t, x, edges[:, None]) for cur in vals[..., 0])
+            prev = next(rows)
             acc = None
-            for k, o in zip(kern, edges[1:]):
-                cur = self.base._value(t, x + o)[..., 0]
+            for k, cur in zip(kern, rows):
                 term = k * (cur - prev)
                 acc = term if acc is None else acc + term
                 prev = cur
@@ -567,12 +586,16 @@ def drift_from_dict(data: dict) -> Drift:
     if kind == "grid_sampled":
         from .parabolic import SpaceTimeField
 
-        field = SpaceTimeField(
-            xs=np.asarray(data["xs"], dtype=float),
-            ts=np.asarray(data["ts"], dtype=float),
-            values=np.asarray(data["values"], dtype=float),
-        )
-        return GridSampledDrift(field=field)
+        xs = np.asarray(data["xs"], dtype=float)
+        ts = np.asarray(data["ts"], dtype=float)
+        values = np.asarray(data["values"], dtype=float)
+        if xs.ndim != 1 or ts.ndim != 1:
+            raise DriftError(f"grid_sampled xs and ts must be lists, got shapes {xs.shape} and {ts.shape}")
+        if values.shape != (len(ts), len(xs)):
+            raise DriftError(
+                f"grid_sampled values must be (len(ts), len(xs)) = {(len(ts), len(xs))}, got {values.shape}"
+            )
+        return GridSampledDrift(field=SpaceTimeField(xs=xs, ts=ts, values=values))
     raise DriftError(f"unknown drift kind: {kind!r}")
 
 

@@ -379,6 +379,8 @@ def sobolev_jacobian_probe(
     """
     from .drift import mollify_drift
 
+    if n_x < 2:
+        raise FlowError(f"n_x={n_x}: the centered difference needs n_x >= 2 cells")
     rows = []
     xs = np.linspace(-r, r, int(n_x) + 1)
     h = xs[1] - xs[0]

@@ -93,6 +93,16 @@ def _philox(seed, stream_id):
     return np.random.Generator(np.random.Philox(key=key))
 
 
+def _n_steps(T, dt):
+    """Step count T / dt of a grid; dt must divide T up to rounding."""
+    if T <= 0 or dt <= 0 or dt > T:
+        raise NoiseError("need 0 < dt <= T")
+    n = int(round(T / dt))
+    if abs(n * dt - T) > 4.0 * np.spacing(T):
+        raise NoiseError(f"dt={dt} does not divide T={T}; grids must align")
+    return n
+
+
 def sample_increments(seed, d, T, dt, n_paths, stream_offset=0):
     """Increments of streams [offset, offset + n_paths) as (n_steps, n_paths, d).
 
@@ -101,11 +111,7 @@ def sample_increments(seed, d, T, dt, n_paths, stream_offset=0):
     """
     if n_paths < 1:
         raise NoiseError(f"need at least one path, got n_paths={n_paths}")
-    if T <= 0 or dt <= 0 or dt > T:
-        raise NoiseError("need 0 < dt <= T")
-    n = int(round(T / dt))
-    if abs(n * dt - T) > 4.0 * np.spacing(T):
-        raise NoiseError(f"dt={dt} does not divide T={T}; grids must align")
+    n = _n_steps(T, dt)
     out = np.empty((n, n_paths, d))
     root = np.sqrt(dt)
     for j in range(n_paths):
@@ -128,8 +134,7 @@ def stacked_increments(paths):
 
 def zero_path(d, T, dt):
     """Deterministic path W == 0 (for noiseless companion runs)."""
-    n = int(round(T / dt))
-    return BrownianPath(dt=dt, increments=np.zeros((n, d)))
+    return BrownianPath(dt=dt, increments=np.zeros((_n_steps(T, dt), d)))
 
 
 def path_from_increments(increments, dt):

@@ -173,6 +173,14 @@ def test_json_unknown_kind():
         dr.drift_from_dict({"kind": "nope"})
 
 
+def test_json_grid_sampled_shape_is_a_drift_error():
+    data = {"kind": "grid_sampled", "xs": [0, 1], "ts": [0, 1], "values": [[1], [1]]}
+    with pytest.raises(dr.DriftError, match=r"\(2, 2\), got \(2, 1\)"):
+        dr.drift_from_dict(data)
+    with pytest.raises(dr.DriftError, match="lists"):
+        dr.drift_from_dict(dict(data, xs=1.0))
+
+
 def test_eval_drift_thread_safe():
     # values may be shared and evaluated concurrently without synchronization
     from concurrent.futures import ThreadPoolExecutor
@@ -269,21 +277,42 @@ BASES = [
     dr.HolderPowerDrift(gamma=0.3, cap=1.5, signed=False),
     dr.LinearDrift(matrix=[[-1.3]]),
     dr.Rotation2DDrift(omega=0.7),
+    dr.ZeroDrift(),
+    dr.LinearDrift(matrix=[[0.3, -1.1], [0.7, 0.2]]),
+    dr.GridSampledDrift(
+        field=pa.SpaceTimeField(
+            xs=np.linspace(-2.0, 2.0, 9),
+            ts=np.array([0.0, 0.5]),
+            values=np.sin(np.arange(18.0)).reshape(2, 9),
+        )
+    ),
 ]
 
 
+# batch sizes on both sides of the fan-out's group boundaries (16,384
+# elements): all 32 nodes per call up to 512 points, one node per call past
+# 8,192 elements, and past the budget itself at 16,385
 @pytest.mark.parametrize("base", BASES)
-@pytest.mark.parametrize("n", [1, 129, 2049])
+@pytest.mark.parametrize(
+    "n", [1, 129, 2049, 30, 511, 512, 513, 16385, pytest.param((2000, 9), id="2000x9")]
+)
 def test_mollified_drift_matches_previous_loops_bitwise(base, n):
     m = dr.mollify_drift(base, 0.05)
     rng = np.random.default_rng(n)
-    for shape in ((n, base.dim), (3, n, base.dim)):
+    lead = n if isinstance(n, tuple) else (n,)
+    offsets = m._nodes()[0][:, 0]
+    edges = dr._stieltjes_kernel(m.eps, max(2 * m.quad_points, 64))[0]
+    # signed zeros, the caps and beyond, and points whose shifts land on 0.0
+    special = np.concatenate([[0.0, -0.0, 2.0, -2.0, 1.5, -1.5, 3.7, -3.7], offsets[:4], -edges[:4]])
+    for shape in (lead + (base.dim,), (3,) + lead + (base.dim,)):
         x = rng.uniform(-2.5, 2.5, size=shape)
-        x[..., 0][:: max(n // 4, 1)] = 0.0  # on the singularity
-        assert np.array_equal(m.value(0.0, x), _mollified_value_reference(m, 0.0, x))
+        x[..., 0][:: max(lead[0] // 4, 1)] = 0.0  # on the singularity
+        flat = x.reshape(-1, base.dim)  # a view: writes land in x
+        flat[: len(special), 0] = special[: len(flat)]
+        assert np.array_equal(m.value(0.25, x), _mollified_value_reference(m, 0.25, x))
         if base.dim == 1:
-            ref = _stieltjes_divergence_reference(m, 0.0, x)
-            assert np.array_equal(m.divergence(0.0, x), ref)
+            ref = _stieltjes_divergence_reference(m, 0.25, x)
+            assert np.array_equal(m.divergence(0.25, x), ref)
 
 
 def test_mollified_divergence_streams_its_edges():

@@ -531,6 +531,24 @@ def test_march_rejects_bad_step_range():
             fl.march(dr.ZeroDrift(), inc, [0.0], 0.125, k0, k1)
 
 
+def test_march_start_is_checked_by_the_drift():
+    # a bad start is the drift's error, not an overflow of the march
+    spec = dr.mollify_drift(dr.HolderPowerDrift(gamma=0.5, cap=2.0), 0.1)
+    inc = np.zeros((8, 1))
+    for start in ([np.nan], [np.inf], [[0.1], [-np.inf]]):
+        for backward in (False, True):
+            with pytest.raises(dr.DriftError, match="non-finite"):
+                fl.march(spec, inc, start, 0.125, 0, 8, backward=backward)
+    with pytest.raises(dr.DriftError, match="point shape"):
+        fl.march(spec, np.zeros((8, 2)), [0.0, 0.0], 0.125, 0, 8)
+
+
+@pytest.mark.parametrize("n_x", [0, 1])
+def test_sobolev_probe_needs_two_cells(path, n_x):
+    with pytest.raises(fl.FlowError, match=f"n_x={n_x}"):
+        fl.sobolev_jacobian_probe([0.5], [0.1], [path], 1.0, n_x=n_x, t=0.5)
+
+
 def _logdiv_oracle(spec, path, x, t, div_step=1e-5):
     states = _euler_many_oracle(spec, path.increments, [[x]], path.dt, 0, path.index_of(t))
     vals = spec.divergence(0.0, states[:, 0], h=div_step)

@@ -61,6 +61,12 @@ def test_noise_arguments_checked_in_one_place():
             nz.sample_increments(*args)
     with pytest.raises(nz.NoiseError):
         nz.sample_brownian(1, 0, 1, 1.0, -0.5)
+    # the noiseless path shares the grid checks: dt > T, dt not dividing T
+    with pytest.raises(nz.NoiseError, match="dt <= T"):
+        nz.zero_path(1, 0.5, 1.0)
+    with pytest.raises(nz.NoiseError, match="does not divide"):
+        nz.zero_path(1, 1.0, 0.3)
+    assert nz.zero_path(2, 0.5, 0.125).increments.shape == (4, 2)
     with pytest.raises(nz.NoiseError, match="share dt"):
         nz.stacked_increments([nz.zero_path(1, 1.0, 0.25), nz.zero_path(1, 1.0, 0.5)])
 
