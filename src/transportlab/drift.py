@@ -291,7 +291,7 @@ class HolderPowerDrift(Drift):
     def __post_init__(self):
         if not 0.0 < self.gamma < 1.0:
             raise DriftError("HolderPower exponent must lie in (0, 1)")
-        if self.cap <= 0:
+        if not self.cap > 0:
             raise DriftError("HolderPower truncation radius must be positive")
         if self.dim != 1:
             raise DriftError("HolderPower drift is one-dimensional")
@@ -354,8 +354,8 @@ class LinearDrift(Drift):
 
     def __post_init__(self):
         a = np.atleast_2d(np.asarray(self.matrix, dtype=float))
-        if a.shape[0] != a.shape[1]:
-            raise DriftError("linear drift needs a square matrix")
+        if a.shape[0] != a.shape[1] or not np.all(np.isfinite(a)):
+            raise DriftError(f"linear drift needs a finite square matrix, got {a.tolist()}")
         object.__setattr__(self, "matrix", a)
         object.__setattr__(self, "dim", a.shape[0])
 
@@ -562,7 +562,21 @@ def drift_to_dict(spec: Drift) -> dict:
 
 
 def drift_from_dict(data: dict) -> Drift:
+    """Drift from its JSON object; a malformed object raises DriftError."""
+    if not isinstance(data, dict):
+        raise DriftError(f"drift JSON must be an object with a kind, got {data!r}")
     kind = data.get("kind")
+    try:
+        return _drift_of_kind(kind, data)
+    except DriftError:
+        raise
+    except KeyError as exc:
+        raise DriftError(f"{kind} drift JSON needs the key {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise DriftError(f"{kind} drift JSON has a malformed value: {exc}") from exc
+
+
+def _drift_of_kind(kind, data):
     if kind == "zero":
         return ZeroDrift(dim=int(data.get("dim", 1)))
     if kind == "holder_power":
@@ -595,6 +609,11 @@ def drift_from_dict(data: dict) -> Drift:
             raise DriftError(
                 f"grid_sampled values must be (len(ts), len(xs)) = {(len(ts), len(xs))}, got {values.shape}"
             )
+        # np.interp misreads a decreasing grid, and a repeated time gives dt = 0
+        if not (np.all(np.diff(xs) > 0) and np.all(np.diff(ts) > 0)):
+            raise DriftError("grid_sampled xs and ts must be strictly increasing")
+        if not np.all(np.isfinite(values)):
+            raise DriftError("grid_sampled values must be finite")
         return GridSampledDrift(field=SpaceTimeField(xs=xs, ts=ts, values=values))
     raise DriftError(f"unknown drift kind: {kind!r}")
 

@@ -11,6 +11,8 @@ import copy
 import csv
 import io
 import json
+import math
+import numbers
 import os
 import time
 from dataclasses import dataclass, field, asdict
@@ -39,6 +41,14 @@ def _fmt(v):
     return str(v)
 
 
+def _positive(v, integer=False):
+    """True for a finite number above 0 that is not a bool, and integral if
+    ``integer``."""
+    if isinstance(v, bool) or not isinstance(v, numbers.Real) or not math.isfinite(v):
+        return False
+    return v > 0 and (not integer or int(v) == v)
+
+
 @dataclass
 class ExperimentConfig:
     experiment: str
@@ -55,24 +65,27 @@ class ExperimentConfig:
             raise ConfigError("experiment: missing id")
         if self.seed is None:
             raise ConfigError("seed: required, no entropy defaults")
-        if not isinstance(self.seed, int) or self.seed < 0:
+        if isinstance(self.seed, bool) or not isinstance(self.seed, int) or self.seed < 0:
             raise ConfigError(f"seed: must be a non-negative integer, got {self.seed!r}")
+        for table in ("grid", "ladders"):
+            if not isinstance(getattr(self, table), dict):
+                raise ConfigError(f"{table}: must be a table, got {getattr(self, table)!r}")
         for name, ladder in self.ladders.items():
-            if not ladder:
-                raise ConfigError(f"ladders.{name}: empty")
-            if any(v <= 0 for v in ladder):
-                raise ConfigError(f"ladders.{name}: entries must be positive")
+            if not isinstance(ladder, (list, tuple)) or not ladder:
+                raise ConfigError(f"ladders.{name}: must be a non-empty list, got {ladder!r}")
+            if not all(_positive(v) for v in ladder):
+                raise ConfigError(f"ladders.{name}: entries must be positive finite numbers, got {ladder}")
             up = all(b > a for a, b in zip(ladder, ladder[1:]))
             down = all(b < a for a, b in zip(ladder, ladder[1:]))
             if not (up or down):
                 raise ConfigError(f"ladders.{name}: must be sorted, got {ladder}")
         for key, v in self.grid.items():
-            if key in ("L", "dt", "T") and v <= 0:
-                raise ConfigError(f"grid.{key}: must be positive, got {v}")
-            if key in ("n_x", "n_t") and (int(v) != v or v <= 0):
-                raise ConfigError(f"grid.{key}: must be a positive integer, got {v}")
-        if self.ensemble is not None and (int(self.ensemble) != self.ensemble or self.ensemble < 1):
-            raise ConfigError(f"ensemble: must be a positive integer, got {self.ensemble}")
+            if key in ("L", "dt", "T") and not _positive(v):
+                raise ConfigError(f"grid.{key}: must be positive and finite, got {v!r}")
+            if key in ("n_x", "n_t") and not _positive(v, integer=True):
+                raise ConfigError(f"grid.{key}: must be a positive integer, got {v!r}")
+        if self.ensemble is not None and not _positive(self.ensemble, integer=True):
+            raise ConfigError(f"ensemble: must be a positive integer, got {self.ensemble!r}")
         return self
 
     def to_dict(self):

@@ -6,10 +6,14 @@ Conventions.  All problems live on the truncated domain [-L, L] with
 homogeneous Neumann walls (mirror ghost nodes, second order).  The backward
 resolvent lives on an unbounded time horizon; it is truncated at T + pad with
 terminal guess 0, so the terminal contamination at times <= T is bounded by
-exp(-lambda * pad).  Marching is unconditionally stable Crank-Nicolson over a
-tridiagonal banded solve.  The backward solvers take a time-independent drift
-and a source f(xs), so each solve builds its bands and right-hand side once;
-the mean equation also marches time-dependent drifts.
+exp(-lambda * pad).  All three solvers step through one unconditionally stable
+Crank-Nicolson march, which factors each distinct tridiagonal system once
+(LAPACK dgttrf) and solves every step with the factors (dgttrs).  The backward
+solvers take a time-independent drift and a source f(xs), so a solve builds
+and factors its system once; the mean equation also marches time-dependent
+drifts, one system per time level.  A guard stops the march before a right
+side that is non-finite or above 1e150: the backward solvers raise
+ParabolicError, the mean equation keeps its clipped state and notes it.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg import lapack
 
 from .drift import Drift, _fields_equal
 from . import flow as _flow
@@ -162,18 +166,58 @@ def _apply(bands, u):
     return out
 
 
-def _solve_bands(bands, lam_shift, c, rhs):
-    """Solve (I + c * (lam_shift - A)) u = rhs for tridiagonal A."""
+def _factor(bands, lam, c):
+    """Solver of (I + c (lam - A)) x = rhs, factored once (LAPACK dgttrf) and
+    applied per right side (dgttrs): the elimination and back-substitution of
+    the dgtsv inside scipy's solve_banded, bit for bit.  scipy's wrappers
+    refuse n = 2, so a 2-node system gets a decoupled identity row."""
     lower, diag, upper = bands
     n = len(diag)
-    ab = np.zeros((3, n))
-    ab[0, 1:] = -c * upper[:-1]
-    ab[1, :] = 1.0 + c * lam_shift - c * diag
-    ab[2, :-1] = -c * lower[1:]
-    try:
-        return solve_banded((1, 1), ab, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise ParabolicError(f"singular tridiagonal system: {exc}") from exc
+    dl, d, du = -c * lower[1:], 1.0 + c * lam - c * diag, -c * upper[:-1]
+    if n == 2:
+        dl, d, du = np.append(dl, 0.0), np.append(d, 1.0), np.append(du, 0.0)
+    *lu, info = lapack.dgttrf(dl, d, du)
+    if info > 0:
+        raise ParabolicError(f"singular tridiagonal system: zero pivot in row {info}")
+    if not all(np.all(np.isfinite(a)) for a in lu[:4]):
+        raise ParabolicError("non-finite tridiagonal system")
+
+    def solve(rhs):
+        rhs = np.append(rhs, 0.0) if n == 2 else rhs
+        return lapack.dgttrs(*lu, rhs, overwrite_b=True)[0][:n]
+
+    return solve
+
+
+def _march(u, values, rows, bands, c, lam=0.0, fsum=0.0, freeze=False):
+    """The one Crank-Nicolson loop.  From u = u_0, step j solves
+    (I + c (lam - A_{j+1})) u_{j+1} = u_j + c (A_j u_j - lam u_j) - c fsum and
+    keeps u_{j+1} in ``values[rows[j]]`` unless that row is None.  ``bands`` is
+    a static operator, factored once, or a function of the level j, built and
+    factored once per level.  The blow-up guard stops before a step whose right
+    side is non-finite or above 1e150: it raises ParabolicError, or with
+    ``freeze`` fills the later rows with the clipped state and returns True.
+    """
+    bands_at = bands if callable(bands) else lambda j: bands
+    here, factored = bands_at(0), None
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j, row in enumerate(rows):
+            rhs = u + c * (_apply(here, u) - lam * u)
+            rhs -= c * fsum
+            if not np.all(np.isfinite(rhs)) or np.max(np.abs(rhs)) > 1e150:
+                if not freeze:
+                    raise ParabolicError(f"march overflowed at step {j}: |right side| not below 1e150")
+                u = np.nan_to_num(u, nan=1e150, posinf=1e150, neginf=-1e150)
+                values[list(rows[j:])] = np.clip(u, -1e150, 1e150)
+                return True
+            nxt = bands_at(j + 1)
+            if nxt is not factored:
+                solve, factored = _factor(nxt, lam, c), nxt
+            u = solve(rhs)
+            if row is not None:
+                values[row] = u
+            here = nxt
+    return False
 
 
 def _drift_slice(spec: Drift, t, xs):
@@ -192,51 +236,23 @@ def _grid(L, n_x, T, n_t):
     ):
         if not ok:
             raise ParabolicError(f"{name}={value!r}: need n_x, n_t >= 1 and finite L, T > 0")
-    return np.linspace(-L, L, int(n_x) + 1), T / int(n_t)
+    return np.linspace(-L, L, int(n_x) + 1), T / int(n_t), int(n_t)
 
 
 def _static_problem(spec: Drift, f, L, n_x, T, n_t):
-    """Grid, time step, operator bands and source f(xs) of a backward problem,
-    built once."""
-    xs, dt = _grid(L, n_x, T, n_t)
+    """Grid, time step and count, operator bands and source f(xs) of a
+    backward problem, built once."""
+    xs, dt, n_t = _grid(L, n_x, T, n_t)
     if spec.time_dependent:
         raise ParabolicError("backward solvers need a time-independent drift")
     bands = _assemble(_drift_slice(spec, 0.0, xs), xs[1] - xs[0])
     fx = f(xs)
     if not np.all(np.isfinite(fx)):
         raise ParabolicError("source f(xs) has non-finite values on the grid")
-    return xs, dt, bands, fx
+    return xs, dt, n_t, bands, fx
 
 
-def _cn_backward_march(bands, fsum, dt, lam, n_t, pad_steps):
-    """March from zero at level n_t + pad_steps down to 0, keeping levels 0..n_t.
-
-    ``fsum`` = f + f is the source at both ends of every step; the pad levels
-    above n_t are not stored.
-    """
-    c = 0.5 * dt
-    u = np.zeros(len(bands[1]))
-    values = np.zeros((n_t + 1, len(u)))
-    for k in range(n_t + pad_steps, 0, -1):
-        rhs = u + c * (_apply(bands, u) - lam * u)
-        rhs -= c * fsum
-        u = _solve_bands(bands, lam, c, rhs)
-        if k <= n_t + 1:
-            values[k - 1] = u
-    return values
-
-
-def solve_backward_resolvent(
-    spec: Drift,
-    f,
-    lam,
-    L,
-    n_x,
-    T,
-    n_t,
-    horizon_pad=None,
-    tol=1e-8,
-):
+def solve_backward_resolvent(spec: Drift, f, lam, L, n_x, T, n_t, horizon_pad=None, tol=1e-8):
     """Backward march of d_t u + (Laplacian/2 + b.D) u - lam u = f on [0, T].
 
     ``spec`` must be time-independent and ``f(xs)`` is a bounded source on
@@ -247,7 +263,7 @@ def solve_backward_resolvent(
     """
     if lam <= 0:
         raise ParabolicError("resolvent parameter lambda must be positive")
-    xs, dt, bands, fx = _static_problem(spec, f, L, n_x, T, n_t)
+    xs, dt, n_t, bands, fx = _static_problem(spec, f, L, n_x, T, n_t)
     fmax = float(np.max(np.abs(fx)))
     needed = math.log(max(fmax, tol) / tol) / lam
     pad = needed if horizon_pad is None else float(horizon_pad)
@@ -258,66 +274,47 @@ def solve_backward_resolvent(
             f"terminal contamination ~{fmax * math.exp(-lam * pad) / lam:.3g}"
         )
     pad_steps = int(math.ceil(pad / dt)) if pad > 0 else 0
-    values = _cn_backward_march(bands, fx + fx, dt, lam, int(n_t), pad_steps)
-    ts = dt * np.arange(n_t + 1)
-    return SpaceTimeField(xs=xs, ts=ts, values=values, notes=notes)
+    values = np.zeros((n_t + 1, len(xs)))
+    # from zero at level n_t + pad_steps down to 0; the pad levels are not kept
+    rows = [k if k <= n_t else None for k in range(n_t + pad_steps - 1, -1, -1)]
+    _march(np.zeros(len(xs)), values, rows, bands, 0.5 * dt, lam, fx + fx)
+    return SpaceTimeField(xs=xs, ts=dt * np.arange(n_t + 1), values=values, notes=notes)
 
 
 def solve_terminal_value(spec: Drift, f, L, n_x, n_t, T):
     """Terminal-value problem d_t F + Laplacian F / 2 + b.DF = f, F(T, .) = 0,
     for a time-independent ``spec`` and a source ``f(xs)``."""
-    xs, dt, bands, fx = _static_problem(spec, f, L, n_x, T, n_t)
-    values = _cn_backward_march(bands, fx + fx, dt, 0.0, int(n_t), 0)
-    ts = dt * np.arange(n_t + 1)
-    return SpaceTimeField(xs=xs, ts=ts, values=values)
+    xs, dt, n_t, bands, fx = _static_problem(spec, f, L, n_x, T, n_t)
+    values = np.zeros((n_t + 1, len(xs)))
+    _march(np.zeros(len(xs)), values, range(n_t - 1, -1, -1), bands, 0.5 * dt, 0.0, fx + fx)
+    return SpaceTimeField(xs=xs, ts=dt * np.arange(n_t + 1), values=values)
 
 
 def solve_mean_pde(spec: Drift, u0, L, n_x, n_t, T, laplacian_sign=1.0):
     """Forward march of d_t u + b.Du = Laplacian u / 2, u(0, .) = u0.
 
     ``laplacian_sign=-1`` solves the (ill-posed) flipped equation; it exists
-    as the negative control of the Monte Carlo comparison and will blow up.
+    as the negative control of the Monte Carlo comparison and will blow up:
+    the march then freezes its last clipped state and notes the overflow.
     The paper's drift is b(t, x): a time-dependent ``spec`` (a grid-sampled
-    drift) rebuilds the operator bands at every step.
+    drift) builds and factors the operator of every time level.
     """
-    xs, dt = _grid(L, n_x, T, n_t)
+    xs, dt, n_t = _grid(L, n_x, T, n_t)
     h = xs[1] - xs[0]
-    static = not spec.time_dependent
 
-    def op_bands(t):
-        # forward operator Laplacian/2 - b.D
-        return _assemble(-_drift_slice(spec, t, xs), h, lap_sign=laplacian_sign)
+    def op_bands(j):
+        # forward operator Laplacian/2 - b.D at level j
+        return _assemble(-_drift_slice(spec, j * dt, xs), h, lap_sign=laplacian_sign)
 
-    bands = op_bands(0.0) if static else None
+    bands = op_bands if spec.time_dependent else op_bands(0)
     u = np.asarray(u0(xs), dtype=float)
     if not np.all(np.isfinite(u)):
         raise ParabolicError("initial datum u0(xs) has non-finite values on the grid")
     values = np.empty((n_t + 1, len(xs)))
     values[0] = u
-    c = 0.5 * dt
-    blew_up = False
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(n_t):
-            bands_here = bands if bands is not None else op_bands(k * dt)
-            bands_next = bands if bands is not None else op_bands((k + 1) * dt)
-            rhs = u + c * _apply(bands_here, u)
-            if not np.all(np.isfinite(rhs)) or np.max(np.abs(rhs)) > 1e150:
-                # stop marching; freeze the clipped state (flipped-sign control)
-                u = np.clip(
-                    np.nan_to_num(u, nan=1e150, posinf=1e150, neginf=-1e150),
-                    -1e150,
-                    1e150,
-                )
-                values[k + 1 :] = u
-                blew_up = True
-                break
-            u = _solve_bands(bands_next, 0.0, c, rhs)
-            values[k + 1] = u
-    ts = dt * np.arange(n_t + 1)
-    fld = SpaceTimeField(xs=xs, ts=ts, values=values)
-    if blew_up:
-        fld.notes.append("solution overflowed (expected for the flipped sign)")
-    return fld
+    blew_up = _march(u, values, range(1, n_t + 1), bands, 0.5 * dt, freeze=True)
+    notes = ["solution overflowed (expected for the flipped sign)"] if blew_up else []
+    return SpaceTimeField(xs=xs, ts=dt * np.arange(n_t + 1), values=values, notes=notes)
 
 
 # ---------------------------------------------------------------------------

@@ -181,6 +181,30 @@ def test_json_grid_sampled_shape_is_a_drift_error():
         dr.drift_from_dict(dict(data, xs=1.0))
 
 
+@pytest.mark.parametrize(
+    "text, match",
+    [
+        ('"zero"', "must be an object"),
+        ('{"kind": "holder_power"}', "needs the key 'gamma'"),
+        ('{"kind": "mollified", "base": {"kind": "zero"}}', "needs the key 'eps'"),
+        ('{"kind": "linear"}', "needs the key 'matrix'"),
+        ('{"kind": "holder_power", "gamma": "abc"}', "malformed value"),
+        ('{"kind": "holder_power", "gamma": 0.5, "cap": NaN}', "radius must be positive"),
+        ('{"kind": "linear", "matrix": [[NaN]]}', "finite square matrix"),
+        ('{"kind": "grid_sampled", "xs": [1, 0], "ts": [0, 1], "values": [[0, 0], [0, 0]]}', "increasing"),
+        ('{"kind": "grid_sampled", "xs": [0, 1], "ts": [0, 0], "values": [[0, 0], [0, 0]]}', "increasing"),
+        ('{"kind": "grid_sampled", "xs": [0, 1], "ts": [0, 1], "values": [[0, NaN], [0, 0]]}', "finite"),
+    ],
+    ids=[
+        "not-an-object", "no-gamma", "no-eps", "no-matrix", "gamma-abc", "cap-nan",
+        "matrix-nan", "xs-decreasing", "ts-repeated", "values-nan",
+    ],
+)
+def test_malformed_drift_json_is_a_drift_error(text, match):
+    with pytest.raises(dr.DriftError, match=match):
+        dr.drift_from_json(text)
+
+
 def test_eval_drift_thread_safe():
     # values may be shared and evaluated concurrently without synchronization
     from concurrent.futures import ThreadPoolExecutor

@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -21,6 +22,28 @@ def test_config_validation_messages():
     with pytest.raises(harness.ConfigError, match="grid.n_x"):
         ExperimentConfig(experiment="x", seed=1, grid={"n_x": -4}).validate()
     ExperimentConfig(experiment="x", seed=1, ladders={"lam": [1.0, 2.0]}).validate()
+
+
+@pytest.mark.parametrize(
+    "override, key",
+    [
+        ("grid.n_x=abc", "grid.n_x"),
+        ("grid.L=abc", "grid.L"),
+        ('ladders.eps=["a"]', "ladders.eps"),
+        ("grid.n_x=1e400", "grid.n_x"),
+        ("ladders.eps=0.1", "ladders.eps"),
+        ("grid=3", "grid"),
+        ("ladders=3", "ladders"),
+        ("grid.dt=NaN", "grid.dt"),
+        ("grid.L=Infinity", "grid.L"),
+        ("grid.L=true", "grid.L"),
+        ("seed=true", "seed"),
+        ("ensemble=abc", "ensemble"),
+    ],
+)
+def test_bad_config_values_name_their_key(override, key):
+    with pytest.raises(harness.ConfigError, match=f"^{re.escape(key)}: "):
+        harness.load_config("zero-drift-sanity", overrides=[override])
 
 
 def test_load_config_overrides(tmp_path):

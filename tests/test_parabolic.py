@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.linalg import solve_banded
 
 from transportlab import drift as dr
 from transportlab import flow as fl
@@ -259,10 +260,10 @@ def test_backward_solvers_reject_non_finite_source(bad):
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_mean_pde_rejects_non_finite_datum_before_marching(bad, monkeypatch):
-    def no_march(*args):
+    def no_march(*args, **kwargs):
         raise AssertionError("marched a non-finite datum")
 
-    monkeypatch.setattr(pb, "_solve_bands", no_march)
+    monkeypatch.setattr(pb, "_march", no_march)
     u0 = lambda xs: np.where(np.abs(xs) < 0.1, bad, 0.0)
     with pytest.raises(pb.ParabolicError, match="u0"):
         pb.solve_mean_pde(dr.ZeroDrift(), u0, L=2.0, n_x=16, n_t=8, T=0.5)
@@ -295,8 +296,21 @@ def test_resolvent_constant_ansatz_any_drift():
     assert np.max(np.abs(u.values + 1.0 / lam)) < 1e-7
 
 
-# The previous backward march, kept as the reference: every step evaluated a
-# source f(t, xs) at both of its ends, with times frozen at T inside the pad.
+# The previous marches, kept as references: every step built the (3, n) band
+# array of I + c (lam - A) and solved it with scipy's solve_banded.
+
+
+def _solve_bands_reference(bands, lam, c, rhs):
+    lower, diag, upper = bands
+    ab = np.zeros((3, len(diag)))
+    ab[0, 1:] = -c * upper[:-1]
+    ab[1, :] = 1.0 + c * lam - c * diag
+    ab[2, :-1] = -c * lower[1:]
+    return solve_banded((1, 1), ab, rhs)
+
+
+# The previous backward march evaluated a source f(t, xs) at both ends of
+# every step, with times frozen at T inside the pad.
 
 
 def _cn_step_reference(f, xs, dt, lam, u_next, k, T, bands):
@@ -305,7 +319,7 @@ def _cn_step_reference(f, xs, dt, lam, u_next, k, T, bands):
     c = 0.5 * dt
     rhs = u_next + c * (pb._apply(bands, u_next) - lam * u_next)
     rhs -= c * (f(t_here, xs) + f(t_next, xs))
-    return pb._solve_bands(bands, lam, c, rhs)
+    return _solve_bands_reference(bands, lam, c, rhs)
 
 
 def _backward_reference(spec, f, lam, L, n_x, T, n_t, pad):
@@ -334,19 +348,107 @@ def _backward_reference(spec, f, lam, L, n_x, T, n_t, pad):
     ],
 )
 def test_backward_solvers_match_previous_march_bitwise(spec):
-    L, n_x, T, n_t, lam = 4.0, 256, 0.5, 32, 4.0
+    L, T, n_t, lam = 4.0, 0.5, 32, 4.0
     minus_b = lambda xs: -spec.value(0.0, xs[:, None])[:, 0]
     div_b = lambda xs: spec.divergence(0.0, xs[:, None])
+    for n_x in (256, 1):  # n_x = 1: the 2-node system of a padded factorisation
+        xs = np.linspace(-L, L, n_x + 1)
+        needed = math.log(float(np.max(np.abs(minus_b(xs)))) / 1e-8) / lam
+        for pad, expect_pad in ((None, needed), (0.1, 0.1), (0.0, 0.0)):
+            u = pb.solve_backward_resolvent(spec, minus_b, lam, L, n_x, T, n_t, horizon_pad=pad)
+            ref = _backward_reference(spec, lambda t, x: minus_b(x), lam, L, n_x, T, n_t, expect_pad)
+            assert np.array_equal(u.values, ref) and u.values.tobytes() == ref.tobytes()
+            assert bool(u.notes) == (pad is not None)
+        F = pb.solve_terminal_value(spec, div_b, L, n_x, n_t, T)
+        ref = _backward_reference(spec, lambda t, x: div_b(x), 0.0, L, n_x, T, n_t, 0.0)
+        assert np.array_equal(F.values, ref) and F.values.tobytes() == ref.tobytes()
+
+
+def _forward_reference(spec, u0, L, n_x, n_t, T, laplacian_sign=1.0):
+    """The previous forward loop: bands of both step ends built at every
+    step, the blow-up guard freezing the clipped state into later rows."""
     xs = np.linspace(-L, L, n_x + 1)
-    needed = math.log(float(np.max(np.abs(minus_b(xs)))) / 1e-8) / lam
-    for pad, expect_pad in ((None, needed), (0.1, 0.1), (0.0, 0.0)):
-        u = pb.solve_backward_resolvent(spec, minus_b, lam, L, n_x, T, n_t, horizon_pad=pad)
-        ref = _backward_reference(spec, lambda t, x: minus_b(x), lam, L, n_x, T, n_t, expect_pad)
-        assert np.array_equal(u.values, ref)
-        assert bool(u.notes) == (pad is not None)
-    F = pb.solve_terminal_value(spec, div_b, L, n_x, n_t, T)
-    ref = _backward_reference(spec, lambda t, x: div_b(x), 0.0, L, n_x, T, n_t, 0.0)
-    assert np.array_equal(F.values, ref)
+    dt, h = T / n_t, xs[1] - xs[0]
+    op_bands = lambda t: pb._assemble(-spec.value(t, xs[:, None])[:, 0], h, lap_sign=laplacian_sign)
+    c = 0.5 * dt
+    u = np.asarray(u0(xs), dtype=float)
+    values = np.empty((n_t + 1, len(xs)))
+    values[0] = u
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(n_t):
+            rhs = u + c * pb._apply(op_bands(k * dt), u)
+            if not np.all(np.isfinite(rhs)) or np.max(np.abs(rhs)) > 1e150:
+                u = np.clip(np.nan_to_num(u, nan=1e150, posinf=1e150, neginf=-1e150), -1e150, 1e150)
+                values[k + 1 :] = u
+                return values, k
+            u = _solve_bands_reference(op_bands((k + 1) * dt), 0.0, c, rhs)
+            values[k + 1] = u
+    return values, None
+
+
+def _moving_field():
+    xs = np.linspace(-4.0, 4.0, 65)
+    ts = np.linspace(0.0, 1.0, 5)
+    return pb.SpaceTimeField(xs=xs, ts=ts, values=np.outer(1.0 + ts, np.sin(xs)))
+
+
+@pytest.mark.parametrize(
+    "spec, sign, n_x, freezes",
+    [
+        (dr.ZeroDrift(), 1.0, 256, False),
+        (dr.mollify_drift(dr.HolderPowerDrift(gamma=0.5, cap=2.0), 0.05), 1.0, 256, False),
+        (dr.LinearDrift(matrix=[[-1.3]]), 1.0, 1, False),
+        (dr.GridSampledDrift(field=_moving_field()), 1.0, 256, False),
+        (dr.ZeroDrift(), -1.0, 256, True),
+        (dr.GridSampledDrift(field=_moving_field()), -1.0, 256, True),
+    ],
+    ids=["zero", "mollified", "linear-n_x=1", "grid-sampled", "flipped-zero", "flipped-grid-sampled"],
+)
+def test_mean_pde_matches_previous_march_bitwise(spec, sign, n_x, freezes):
+    u0 = lambda xs: np.exp(-4 * xs**2)
+    u = pb.solve_mean_pde(spec, u0, L=4.0, n_x=n_x, n_t=256, T=1.0, laplacian_sign=sign)
+    ref, frozen_at = _forward_reference(spec, u0, 4.0, n_x, 256, 1.0, sign)
+    assert np.array_equal(u.values, ref) and u.values.tobytes() == ref.tobytes()
+    assert (frozen_at is not None) == freezes
+    assert u.notes == (["solution overflowed (expected for the flipped sign)"] if freezes else [])
+
+
+def test_static_solves_factor_once(monkeypatch):
+    factored, built = [], []
+    factor, assemble = pb._factor, pb._assemble
+    monkeypatch.setattr(pb, "_factor", lambda *a: factored.append(1) or factor(*a))
+    monkeypatch.setattr(pb, "_assemble", lambda *a, **k: built.append(1) or assemble(*a, **k))
+    spec = dr.HolderPowerDrift(gamma=0.5, cap=2.0)
+    for solve in (
+        lambda: pb.solve_backward_resolvent(spec, const_f(1.0), 4.0, L=4.0, n_x=64, T=0.5, n_t=16),
+        lambda: pb.solve_terminal_value(spec, const_f(1.0), L=4.0, n_x=64, n_t=16, T=0.5),
+        lambda: pb.solve_mean_pde(spec, const_f(1.0), L=4.0, n_x=64, n_t=16, T=0.5),
+    ):
+        factored.clear(), built.clear()
+        solve()
+        assert (len(factored), len(built)) == (1, 1)
+    # a time-dependent drift: one operator and one factorisation per level
+    factored.clear(), built.clear()
+    pb.solve_mean_pde(dr.GridSampledDrift(field=_moving_field()), const_f(1.0), L=4.0, n_x=64, n_t=16, T=0.5)
+    assert (len(factored), len(built)) == (16, 17)
+
+
+def test_solvers_raise_parabolic_errors():
+    one = const_f(1.0)
+    # exactly singular: I + (0 - A) with the flipped Laplacian has a zero pivot
+    with pytest.raises(pb.ParabolicError, match="singular tridiagonal system"):
+        pb.solve_mean_pde(dr.ZeroDrift(), one, L=1, n_x=2, n_t=1, T=2, laplacian_sign=-1)
+    # b = 1e308 x overflows on the grid: the backward guard raises, never a field
+    huge = dr.LinearDrift(matrix=[[1e308]])
+    with pytest.raises(pb.ParabolicError, match="overflowed"):
+        pb.solve_terminal_value(huge, one, L=4, n_x=16, n_t=8, T=0.5)
+    with pytest.raises(pb.ParabolicError, match="overflowed"):
+        pb.solve_backward_resolvent(huge, one, 4.0, L=4, n_x=16, n_t=8, T=0.5)
+    # a finite state whose next operator is not finite cannot be factored
+    xs = np.linspace(-4.0, 4.0, 3)
+    spike = pb.SpaceTimeField(xs=xs, ts=np.array([0.0, 1.0]), values=np.array([[0.0] * 3, [1e308] * 3]))
+    with pytest.raises(pb.ParabolicError, match="non-finite tridiagonal system"):
+        pb.solve_mean_pde(dr.GridSampledDrift(field=spike), one, L=4, n_x=64, n_t=1, T=1.0)
 
 
 def test_backward_solvers_refuse_time_dependent_drift():
