@@ -49,9 +49,12 @@ def main(argv=None):
             harness.emit_plot_data(args.report, args.series, sys.stdout)
         return 0
 
-    config = harness.load_config(
-        experiment=args.experiment, path=args.config, overrides=args.sets
-    )
+    try:
+        config = harness.load_config(
+            experiment=args.experiment, path=args.config, overrides=args.sets
+        )
+    except harness.ConfigError as exc:
+        parser.error(str(exc))
     if args.out:
         config.out_dir = args.out
     report = harness.run_experiment(config)

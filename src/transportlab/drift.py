@@ -14,6 +14,7 @@ import json
 from dataclasses import dataclass, field, fields
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 
 __all__ = [
     "Drift",
@@ -75,7 +76,7 @@ def bump_derivative(u):
 
 
 def _gauss_nodes(n):
-    x, w = np.polynomial.legendre.leggauss(int(n))
+    x, w = leggauss(int(n))
     return x, w
 
 
@@ -301,10 +302,14 @@ class HolderPowerDrift(Drift):
         return 1.0 / (1.0 - self.gamma)
 
     def _value(self, t, x):
-        a = np.minimum(np.abs(x), self.cap) ** self.gamma
+        a = np.abs(x)
+        np.minimum(a, self.cap, out=a)
+        # **= keeps numpy's scalar-exponent path (sqrt at 0.5); np.power does not
+        a **= self.gamma
         if self.signed:
-            a = np.sign(x) * a
-        return self.coef * a
+            # a fresh sign array: np.sign(y, out=y) is about 5x slower
+            np.multiply(np.sign(x), a, out=a)
+        return np.multiply(self.coef, a, out=a)
 
     def divergence_analytic(self, t, x):
         xx = x[..., 0]
@@ -445,22 +450,35 @@ class MollifiedDrift(Drift):
         Yields (lo, values), values of shape (k, *x.shape) for shifts lo..lo+k-1.
         k is the most shifts whose points fit in _GROUP_ELEMENTS, and at least
         one: a small batch makes one base call for all shifts, a large one keeps
-        one call, and one point array's memory, per shift.
+        one call, and one point array's memory, per shift.  The shifted points
+        of every group share one buffer, so the base must not keep its input.
         """
         k = min(max(_GROUP_ELEMENTS // max(x.size, 1), 1), len(shifts))
         shifts = shifts.reshape((-1,) + (1,) * (x.ndim - 1) + (self.dim,))
+        points = np.empty((k,) + x.shape)
         for lo in range(0, len(shifts), k):
-            yield lo, self.base._value(t, x + shifts[lo : lo + k])
+            group = shifts[lo : lo + k]
+            yield lo, self.base._value(t, np.add(x, group, out=points[: len(group)]))
 
     def _value(self, t, x):
         offsets, weights = self._nodes()
         weights = weights.reshape((-1,) + (1,) * x.ndim)
         acc = None
-        # x + (-o) has the bits of x - o; the fold runs row by row, in node
-        # order, because a reduction over the node axis may sum pairwise
+        # x + (-o) has the bits of x - o; the fold runs in node order, because
+        # a reduction over the node axis may sum pairwise.  The base's values
+        # are fresh, so they are weighted and summed in place, the earlier
+        # groups' sum into the first row.  add.accumulate is the same fold in
+        # one call, but it pays per column: it wins on short rows only.
         for lo, vals in self._fan_out(t, x, -offsets):
-            for term in weights[lo : lo + len(vals)] * vals:
-                acc = term if acc is None else acc + term
+            vals *= weights[lo : lo + len(vals)]
+            if acc is not None:
+                vals[0] += acc
+            if x.size < 4 * len(vals):
+                acc = np.add.accumulate(vals, out=vals)[-1]
+            else:
+                acc = vals[0]
+                for term in vals[1:]:
+                    acc += term
         return acc
 
     def divergence_analytic(self, t, x):

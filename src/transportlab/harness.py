@@ -41,12 +41,29 @@ def _fmt(v):
     return str(v)
 
 
+def _finite(v):
+    """True for a finite real number that is not a bool."""
+    return not isinstance(v, bool) and isinstance(v, numbers.Real) and math.isfinite(v)
+
+
 def _positive(v, integer=False):
     """True for a finite number above 0 that is not a bool, and integral if
     ``integer``."""
-    if isinstance(v, bool) or not isinstance(v, numbers.Real) or not math.isfinite(v):
-        return False
-    return v > 0 and (not integer or int(v) == v)
+    return _finite(v) and v > 0 and (not integer or int(v) == v)
+
+
+def _unlike_stock(v, stock):
+    """The kind ``v`` lacks to replace the stock value ``stock``, or None: an
+    integer for an integer, a finite number for a number, a non-empty list of
+    finite numbers for a list.  Other stock kinds are not checked."""
+    if isinstance(stock, numbers.Integral):
+        return None if _finite(v) and isinstance(v, numbers.Integral) else "an integer"
+    if isinstance(stock, numbers.Real):
+        return None if _finite(v) else "a finite number"
+    if isinstance(stock, list):
+        ok = isinstance(v, list) and v and all(_finite(x) for x in v)
+        return None if ok else "a non-empty list of finite numbers"
+    return None
 
 
 @dataclass
@@ -67,7 +84,7 @@ class ExperimentConfig:
             raise ConfigError("seed: required, no entropy defaults")
         if isinstance(self.seed, bool) or not isinstance(self.seed, int) or self.seed < 0:
             raise ConfigError(f"seed: must be a non-negative integer, got {self.seed!r}")
-        for table in ("grid", "ladders"):
+        for table in ("grid", "ladders", "extra"):
             if not isinstance(getattr(self, table), dict):
                 raise ConfigError(f"{table}: must be a table, got {getattr(self, table)!r}")
         for name, ladder in self.ladders.items():
@@ -139,7 +156,16 @@ def load_config(experiment=None, path=None, overrides=()):
     unknown = set(merged) - known
     if unknown:
         raise ConfigError(f"unknown config fields: {sorted(unknown)}")
-    return ExperimentConfig(**merged).validate()
+    config = ExperimentConfig(**merged).validate()
+    # the experiments read grid and extra values unchecked: an override must
+    # have the kind of the stock value it replaces
+    for table in ("grid", "extra"):
+        stock = spec.defaults.get(table, {})
+        for key, v in getattr(config, table).items():
+            kind = _unlike_stock(v, stock[key]) if key in stock else None
+            if kind:
+                raise ConfigError(f"{table}.{key}: must be {kind} like its stock value {stock[key]!r}, got {v!r}")
+    return config
 
 
 @dataclass

@@ -12,6 +12,7 @@ import csv
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.random import Generator, Philox
 
 from .drift import bump_value, bump_derivative, _bump_mass, _fields_equal, _gauss_nodes
 
@@ -90,7 +91,7 @@ def _philox(seed, stream_id):
     if seed is None or seed < 0 or stream_id is None or stream_id < 0:
         raise NoiseError("seed and stream_id must be non-negative integers")
     key = np.array([seed, stream_id], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    return Generator(Philox(key=key))
 
 
 def _n_steps(T, dt):

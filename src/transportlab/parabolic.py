@@ -24,7 +24,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import lapack
 
 from .drift import Drift, _fields_equal
 from . import flow as _flow
@@ -170,7 +169,11 @@ def _factor(bands, lam, c):
     """Solver of (I + c (lam - A)) x = rhs, factored once (LAPACK dgttrf) and
     applied per right side (dgttrs): the elimination and back-substitution of
     the dgtsv inside scipy's solve_banded, bit for bit.  scipy's wrappers
-    refuse n = 2, so a 2-node system gets a decoupled identity row."""
+    refuse n = 2, so a 2-node system gets a decoupled identity row.  scipy is
+    imported here, at the first factorisation, so only a process that runs a
+    Crank-Nicolson solve pays for loading it."""
+    from scipy.linalg import lapack
+
     lower, diag, upper = bands
     n = len(diag)
     dl, d, du = -c * lower[1:], 1.0 + c * lam - c * diag, -c * upper[:-1]

@@ -339,6 +339,32 @@ def test_mollified_drift_matches_previous_loops_bitwise(base, n):
             assert np.array_equal(m.divergence(0.25, x), ref)
 
 
+# values computed in place must leave the caller's points alone, on a batch
+# that fans out in one group of all 32 nodes (30 points) and on one that makes
+# one base call per node (9,000 points, past 8,192 elements); the bytes, signed
+# zeros included, are those of the previous code
+@pytest.mark.parametrize("n", [30, 9000])
+@pytest.mark.parametrize("signed", [True, False])
+def test_in_place_values_keep_the_points_and_the_bytes(n, signed):
+    holder = dr.HolderPowerDrift(gamma=0.5, cap=2.0, signed=signed)
+    m = dr.mollify_drift(holder, 0.05)
+    x = np.linspace(-2.5, 2.5, n).reshape(n, 1)
+    x[:4, 0] = [0.0, -0.0, 2.0, -2.0]
+    before = x.tobytes()
+    sign = np.sign(x) if signed else 1.0
+    previous = holder.coef * (sign * np.minimum(np.abs(x), holder.cap) ** holder.gamma)
+    assert holder.value(0.0, x).tobytes() == previous.tobytes()
+    assert x.tobytes() == before
+    assert m.value(0.0, x).tobytes() == _mollified_value_reference(m, 0.0, x).tobytes()
+    assert x.tobytes() == before
+
+
+@pytest.mark.parametrize("signed", [True, False])
+def test_holder_power_signed_zeros_give_positive_zero(signed):
+    b = dr.HolderPowerDrift(gamma=0.5, cap=2.0, signed=signed)
+    assert b.value(0.0, np.array([[-0.0], [0.0]])).tobytes() == np.zeros((2, 1)).tobytes()
+
+
 def test_mollified_divergence_streams_its_edges():
     import tracemalloc
 

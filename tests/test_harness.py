@@ -46,6 +46,40 @@ def test_bad_config_values_name_their_key(override, key):
         harness.load_config("zero-drift-sanity", overrides=[override])
 
 
+@pytest.mark.parametrize(
+    "experiment, override, key",
+    [
+        ("grad-decay", "extra.gamma=abc", "extra.gamma"),
+        ("grad-decay", "extra.gamma=NaN", "extra.gamma"),
+        ("grad-decay", "extra.eps=true", "extra.eps"),
+        ("grad-decay", "extra=3", "extra"),
+        ("measure-preservation", "grid.n_side=abc", "grid.n_side"),
+        ("measure-preservation", "grid.n_side=16.0", "grid.n_side"),
+        ("sobolev-jacobian", "grid.r=abc", "grid.r"),
+        ("mean-pde-mc", "extra.probes=0.5", "extra.probes"),
+        ("mean-pde-mc", 'extra.probes=[0.5,"a"]', "extra.probes"),
+        ("mean-pde-mc", "extra.probes=[]", "extra.probes"),
+        ("mean-pde-mc", "extra.probes=[0.5,Infinity]", "extra.probes"),
+    ],
+)
+def test_bad_grid_and_extra_values_name_their_key(experiment, override, key):
+    with pytest.raises(harness.ConfigError, match=f"^{re.escape(key)}: "):
+        harness.load_config(experiment, overrides=[override])
+
+
+def test_grid_and_extra_values_of_the_stock_kind_pass(tmp_path):
+    cfg = harness.load_config(
+        "mean-pde-mc", overrides=["extra.gamma=0.4", "extra.cap=3", "extra.probes=[0,1.5]", "grid.n_x=1024"]
+    )
+    assert (cfg.extra["gamma"], cfg.extra["cap"], cfg.extra["probes"]) == (0.4, 3, [0, 1.5])
+    assert harness.load_config("measure-preservation", overrides=["grid.n_side=16"]).grid["n_side"] == 16
+    # a JSON config file is held to the same kinds as --set
+    cfg_file = tmp_path / "c.json"
+    cfg_file.write_text(json.dumps({"extra": {"gamma": "abc"}}))
+    with pytest.raises(harness.ConfigError, match="^extra.gamma: "):
+        harness.load_config("grad-decay", path=cfg_file)
+
+
 def test_load_config_overrides(tmp_path):
     cfg_file = tmp_path / "c.json"
     cfg_file.write_text(json.dumps({"seed": 7, "grid": {"n_x": 32}}))
@@ -132,16 +166,39 @@ def test_plot_data_empty_report():
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(transportlab.__file__)))
 
 
-def _run_cli(args, cwd):
+def _run_python(args, cwd):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
     return subprocess.run(
-        [sys.executable, "-m", "transportlab.cli", *args],
+        [sys.executable, *args],
         capture_output=True,
         text=True,
         cwd=cwd,
         env=env,
     )
+
+
+def _run_cli(args, cwd):
+    return _run_python(["-m", "transportlab.cli", *args], cwd)
+
+
+def test_scipy_loads_only_for_a_crank_nicolson_solve(tmp_path):
+    # scipy's LAPACK wrappers back the Crank-Nicolson factorisation and
+    # nothing else, so a process that never solves one never imports scipy
+    code = """
+import sys
+import transportlab
+from transportlab import experiments, harness
+print("scipy" in sys.modules)
+harness.run_experiment(harness.load_config("zero-drift-sanity"), write=False)
+print("scipy" in sys.modules)
+from transportlab import drift, parabolic
+parabolic.solve_backward_resolvent(drift.ZeroDrift(), lambda xs: 0.0 * xs + 1.0, 1.0, L=1.0, n_x=8, T=1.0, n_t=4)
+print("scipy" in sys.modules)
+"""
+    out = _run_python(["-c", code], tmp_path)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["False", "False", "True"]
 
 
 def test_cli_list(tmp_path):
@@ -194,6 +251,18 @@ def test_cli_exit_code_on_failure(tmp_path):
     assert out.returncode == 1, out.stderr
     assert "Traceback" not in out.stderr
     assert "[FAIL] det-nonuniqueness/min_pairwise_gap:" in out.stdout
+
+
+@pytest.mark.parametrize(
+    "experiment, override, key",
+    [("grad-decay", "extra.gamma=abc", "extra.gamma"), ("measure-preservation", "grid.n_side=abc", "grid.n_side")],
+)
+def test_cli_bad_config_value_is_a_usage_error(tmp_path, experiment, override, key):
+    out = _run_cli(["run", experiment, "--out", str(tmp_path / "runs"), "--set", override], tmp_path)
+    assert out.returncode == 2
+    assert "Traceback" not in out.stderr
+    assert f"lab: error: {key}: " in out.stderr
+    assert not (tmp_path / "runs").exists()
 
 
 def test_row_pass_flag_consistency():
