@@ -157,11 +157,13 @@ def load_config(experiment=None, path=None, overrides=()):
     if unknown:
         raise ConfigError(f"unknown config fields: {sorted(unknown)}")
     config = ExperimentConfig(**merged).validate()
-    # the experiments read grid and extra values unchecked: an override must
-    # have the kind of the stock value it replaces
+    # the experiments read grid and extra values unchecked: an override must have
+    # the stock value's kind, and an extra key the stock config lacks is read by none
     for table in ("grid", "extra"):
         stock = spec.defaults.get(table, {})
         for key, v in getattr(config, table).items():
+            if table == "extra" and key not in stock:
+                raise ConfigError(f"extra.{key}: {experiment} reads no such key; its extra keys are {sorted(stock)}")
             kind = _unlike_stock(v, stock[key]) if key in stock else None
             if kind:
                 raise ConfigError(f"{table}.{key}: must be {kind} like its stock value {stock[key]!r}, got {v!r}")

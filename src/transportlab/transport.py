@@ -319,21 +319,19 @@ class CharacteristicsSolution:
 
 def _time_from_origin(gamma, cap, z):
     """Travel time of the deterministic flow from 0+ to z > 0."""
-    z = np.asarray(z, dtype=float)
     slope = cap**gamma / (1.0 - gamma)
     t_cap = cap ** (1.0 - gamma)
     return np.where(z <= cap, z ** (1.0 - gamma), t_cap + (z - cap) / slope)
 
 
 def _phi_inverse_positive(gamma, cap, t, y):
-    """phi_t^{-1}(y) for y > x_+(t) on the positive half line."""
-    y = np.asarray(y, dtype=float)
+    """phi_t^{-1}(y) for a float array y > x_+(t) on the positive half line."""
     slope = cap**gamma / (1.0 - gamma)
-    below = np.clip(y ** (1.0 - gamma) - t, 0.0, None) ** (1.0 / (1.0 - gamma))
-    t_lin = np.clip((y - cap) / slope, 0.0, None)
-    rem = np.clip(t - t_lin, 0.0, None)
+    below = np.maximum(y ** (1.0 - gamma) - t, 0.0) ** (1.0 / (1.0 - gamma))
+    t_lin = np.maximum((y - cap) / slope, 0.0)
+    rem = np.maximum(t - t_lin, 0.0)
     above_far = y - t * slope  # never re-enters the capped zone
-    above_near = np.clip(cap ** (1.0 - gamma) - rem, 0.0, None) ** (1.0 / (1.0 - gamma))
+    above_near = np.maximum(cap ** (1.0 - gamma) - rem, 0.0) ** (1.0 / (1.0 - gamma))
     above = np.where(t <= t_lin, above_far, above_near)
     return np.where(y <= cap, below, above)
 
@@ -345,30 +343,28 @@ def deterministic_family(gamma, cap, u0, gamma_plus, gamma_minus, t, x):
     transported along the unique flow; between them the branch functions
     gamma_(+/-) applied to the emission time t0(t, x) fill the fan.  Branch
     boundaries follow the closed-middle tie-break (<= on the inner branches).
+    Each branch function takes the array of emission times of its points and
+    returns values that broadcast to it (a constant will do).
     """
     if not 0.0 < gamma < 1.0:
         raise TransportError("family exponent must lie in (0, 1)")
     if t <= 0:
         raise TransportError("family is defined for t > 0")
     x = np.asarray(x, dtype=float)
+    if not np.all(np.isfinite(x)):
+        raise TransportError(f"x: the family needs finite points, {np.count_nonzero(~np.isfinite(x))} are not")
     xp = float(_flow.holder_extremal_branch(gamma, cap, t))
     t0 = t - _time_from_origin(gamma, cap, np.abs(x))
-    gp = np.vectorize(gamma_plus, otypes=[float])
-    gm = np.vectorize(gamma_minus, otypes=[float])
     out = np.empty_like(x)
 
     hi = x > xp
     lo = x < -xp
     mid_plus = (x >= 0.0) & ~hi
     mid_minus = (x < 0.0) & ~lo
-    if np.any(hi):
-        out[hi] = u0(_phi_inverse_positive(gamma, cap, t, x[hi]))
-    if np.any(lo):
-        out[lo] = u0(-_phi_inverse_positive(gamma, cap, t, -x[lo]))
-    if np.any(mid_plus):
-        out[mid_plus] = gp(t0[mid_plus])
-    if np.any(mid_minus):
-        out[mid_minus] = gm(t0[mid_minus])
+    out[hi] = u0(_phi_inverse_positive(gamma, cap, t, x[hi]))
+    out[lo] = u0(-_phi_inverse_positive(gamma, cap, t, -x[lo]))
+    out[mid_plus] = gamma_plus(t0[mid_plus])
+    out[mid_minus] = gamma_minus(t0[mid_minus])
     return out
 
 
@@ -568,31 +564,37 @@ _CONV_BLOCK = 256
 def _convolve_at(points, fn, eps, kernel, inner_cells, splits):
     """(theta_eps * fn)(p) for each p, cells split at the jump locations.
 
-    A window [p - eps, p + eps] with no jump inside has the plain stencil, so
-    such windows are evaluated _CONV_BLOCK at a time as one C-ordered
-    (windows, nodes) array.  Each row gets the edges, the node values and the
+    Windows [p - eps, p + eps] are grouped by how many distinct splits lie
+    strictly inside them (none for most) and evaluated _CONV_BLOCK at a time
+    as one C-ordered (windows, nodes) array: the linspace edges with the
+    window's splits sorted in.  Each row gets the edges, node values and
     pairwise row sum of a single-window evaluation, so the result is bit for
-    bit the per-window sum.  Windows holding a jump get their own edges.
+    bit the per-window sum.  A split on a linspace edge doubles that edge,
+    which ``_edges`` drops: only such windows are redone one at a time.
     """
     points = np.asarray(points, dtype=float)
     lo, hi = points - eps, points + eps
-    split = np.zeros(len(points), dtype=bool)
-    for s in splits:
-        split |= (lo < s) & (s < hi)
+    cuts = np.unique(np.asarray(splits, dtype=float))
+    first = np.searchsorted(cuts, lo, side="right")  # the splits inside are cuts[first:first + count]
+    count = np.maximum(np.searchsorted(cuts, hi, side="left") - first, 0)
     out = np.empty(len(points))
-    for i in np.flatnonzero(split):
-        edges = _edges(lo[i], hi[i], inner_cells, splits)
-        nodes, w = _gauss_nodes_weights(edges)
-        out[i] = np.sum(w * kernel(points[i] - nodes) * fn(nodes))
-    plain = np.flatnonzero(~split)
-    for start in range(0, len(plain), _CONV_BLOCK):
-        idx = plain[start:start + _CONV_BLOCK]
-        # linspace along the last axis is an F-ordered view; strided rows would
-        # be summed in another order than the per-window sum
-        edges = np.ascontiguousarray(np.linspace(lo[idx], hi[idx], int(inner_cells) + 1, axis=-1))
+
+    def rows(idx, edges):
         nodes, w = _gauss_nodes_weights(edges)
         vals = fn(nodes.ravel()).reshape(nodes.shape)
         out[idx] = np.sum(w * kernel(points[idx, None] - nodes) * vals, axis=-1)
+
+    for k in np.unique(count):
+        members = np.flatnonzero(count == k)
+        for start in range(0, len(members), _CONV_BLOCK):
+            idx = members[start:start + _CONV_BLOCK]
+            edges = np.linspace(lo[idx], hi[idx], int(inner_cells) + 1, axis=-1)
+            if k:
+                edges = np.sort(np.concatenate([edges, cuts[first[idx, None] + np.arange(k)]], axis=-1))
+            # linspace along the last axis is F-ordered: strided rows would sum in another order
+            rows(idx, np.ascontiguousarray(edges))
+            for i in idx[np.any(edges[:, 1:] == edges[:, :-1], axis=-1)] if k else ():
+                rows([i], _edges(lo[i], hi[i], inner_cells, splits)[None])
     return out
 
 
@@ -638,22 +640,18 @@ def commutator(v: Drift, g, eps, rho, n_outer=256, inner_cells=24, t=0.0):
     against v so its singular points are integrated across, never sampled.
     """
     return _commutator_core(
-        v,
-        g,
-        eps,
-        lo=rho.center - rho.radius,
-        hi=rho.center + rho.radius,
-        weight=rho.value,
-        dweight=rho.grad,
-        n_outer=n_outer,
-        inner_cells=inner_cells,
-        t=t,
+        v, g, eps, lo=rho.center - rho.radius, hi=rho.center + rho.radius, weight=rho.value,
+        dweight=rho.grad, n_outer=n_outer, inner_cells=inner_cells, t=t,
     )
 
 
 def _commutator_core(v, g, eps, lo, hi, weight, dweight, n_outer, inner_cells, t):
     if getattr(v, "dim", 1) != 1:
         raise TransportError("commutator quadrature is one-dimensional")
+    if not (math.isfinite(eps) and eps > 0.0):
+        raise TransportError(f"eps={eps!r}: the mollifier needs a finite width > 0")
+    if isinstance(inner_cells, bool) or not isinstance(inner_cells, (int, np.integer)) or inner_cells < 1:
+        raise TransportError(f"inner_cells={inner_cells!r}: a window needs an integer number of cells >= 1")
     kern = Mollifier(eps=float(eps), dim=1).kernel
     g_splits = tuple(getattr(g, "discontinuities", ()))
     v_splits = _sharp_points(v)

@@ -60,6 +60,9 @@ def test_bad_config_values_name_their_key(override, key):
         ("mean-pde-mc", 'extra.probes=[0.5,"a"]', "extra.probes"),
         ("mean-pde-mc", "extra.probes=[]", "extra.probes"),
         ("mean-pde-mc", "extra.probes=[0.5,Infinity]", "extra.probes"),
+        # an extra key the stock config lacks is read by no experiment
+        ("grad-decay", "extra.gama=0.3", "extra.gama"),
+        ("zero-drift-sanity", "extra.gamma=0.3", "extra.gamma"),
     ],
 )
 def test_bad_grid_and_extra_values_name_their_key(experiment, override, key):
@@ -73,10 +76,13 @@ def test_grid_and_extra_values_of_the_stock_kind_pass(tmp_path):
     )
     assert (cfg.extra["gamma"], cfg.extra["cap"], cfg.extra["probes"]) == (0.4, 3, [0, 1.5])
     assert harness.load_config("measure-preservation", overrides=["grid.n_side=16"]).grid["n_side"] == 16
-    # a JSON config file is held to the same kinds as --set
+    # a JSON config file is held to the same kinds and extra keys as --set
     cfg_file = tmp_path / "c.json"
     cfg_file.write_text(json.dumps({"extra": {"gamma": "abc"}}))
     with pytest.raises(harness.ConfigError, match="^extra.gamma: "):
+        harness.load_config("grad-decay", path=cfg_file)
+    cfg_file.write_text(json.dumps({"extra": {"gama": 0.3}}))
+    with pytest.raises(harness.ConfigError, match="^extra.gama: grad-decay reads no such key"):
         harness.load_config("grad-decay", path=cfg_file)
 
 
@@ -255,7 +261,11 @@ def test_cli_exit_code_on_failure(tmp_path):
 
 @pytest.mark.parametrize(
     "experiment, override, key",
-    [("grad-decay", "extra.gamma=abc", "extra.gamma"), ("measure-preservation", "grid.n_side=abc", "grid.n_side")],
+    [
+        ("grad-decay", "extra.gamma=abc", "extra.gamma"),
+        ("measure-preservation", "grid.n_side=abc", "grid.n_side"),
+        ("grad-decay", "extra.gama=0.3", "extra.gama"),
+    ],
 )
 def test_cli_bad_config_value_is_a_usage_error(tmp_path, experiment, override, key):
     out = _run_cli(["run", experiment, "--out", str(tmp_path / "runs"), "--set", override], tmp_path)

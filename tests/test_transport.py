@@ -87,6 +87,60 @@ def test_family_tie_breaks():
     assert fam(-1e-12) == 0.75
 
 
+def _family_previous(gamma, cap, u0, gamma_plus, gamma_minus, t, x):
+    """Oracle: the family through np.vectorize, np.clip and guarded assignments."""
+    def phi_inverse(y):
+        slope = cap**gamma / (1.0 - gamma)
+        below = np.clip(y ** (1.0 - gamma) - t, 0.0, None) ** (1.0 / (1.0 - gamma))
+        t_lin = np.clip((y - cap) / slope, 0.0, None)
+        rem = np.clip(t - t_lin, 0.0, None)
+        above_near = np.clip(cap ** (1.0 - gamma) - rem, 0.0, None) ** (1.0 / (1.0 - gamma))
+        return np.where(y <= cap, below, np.where(t <= t_lin, y - t * slope, above_near))
+
+    x = np.asarray(x, dtype=float)
+    xp = float(fl.holder_extremal_branch(gamma, cap, t))
+    t0 = t - tp._time_from_origin(gamma, cap, np.abs(x))
+    out = np.empty_like(x)
+    hi, lo = x > xp, x < -xp
+    mid_plus, mid_minus = (x >= 0.0) & ~hi, (x < 0.0) & ~lo
+    if np.any(hi):
+        out[hi] = u0(phi_inverse(x[hi]))
+    if np.any(lo):
+        out[lo] = u0(-phi_inverse(-x[lo]))
+    if np.any(mid_plus):
+        out[mid_plus] = np.vectorize(gamma_plus, otypes=[float])(t0[mid_plus])
+    if np.any(mid_minus):
+        out[mid_minus] = np.vectorize(gamma_minus, otypes=[float])(t0[mid_minus])
+    return out
+
+
+# 2/3: 1/(1 - gamma) is 3 up to rounding; at an odd integer power a negative zero keeps its sign
+@pytest.mark.parametrize("gamma", [0.25, 0.5, 2.0 / 3.0, 0.75])
+def test_family_matches_previous_formula_bitwise(gamma):
+    cap = 2.0
+    rng = np.random.default_rng(3)
+    identity = lambda y: np.asarray(y, dtype=float)  # shows phi^{-1} itself, signed zeros too
+    branches = [(lambda s: 0.25, lambda s: 0.75), (lambda s: 0.5 * s + 0.125, lambda s: -s)]
+    t_cap = cap ** (1.0 - gamma)
+    for t in (1e-3, 1.0, 2.5 * t_cap):
+        xp = float(fl.holder_extremal_branch(gamma, cap, t))
+        x = np.concatenate([
+            rng.uniform(-(xp + 3.0), xp + 3.0, 200),
+            [0.0, -0.0, xp, -xp, np.nextafter(xp, 9.0), -np.nextafter(xp, 9.0), cap, -cap],
+        ])
+        for u0 in (identity, tp.StepDatum(0.0), tp.SmoothBumpDatum(0.5, 2.0)):
+            for gp, gm in branches:
+                got = tp.deterministic_family(gamma, cap, u0, gp, gm, t, x)
+                want = _family_previous(gamma, cap, u0, gp, gm, t, x)
+                assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+
+
+@pytest.mark.parametrize("x", [[np.nan, 0.5], [0.5, np.inf], [-np.inf]])
+def test_family_rejects_non_finite_points(x):
+    with pytest.raises(tp.TransportError, match="^x: "):
+        tp.deterministic_family(0.5, 2.0, tp.StepDatum(0.0), lambda s: 0.0, lambda s: 1.0, 1.0, x)
+
+
 def test_branch_capped_inverse():
     # once past the cap the flow is linear with slope b(R)
     gamma, cap = 0.5, 1.0
@@ -518,6 +572,11 @@ def _convolve_per_window(points, fn, eps, kernel, inner_cells, splits):
     return out
 
 
+def _inside(points, eps, splits):
+    """Per window, how many distinct splits lie strictly inside it."""
+    return np.array([sum(p - eps < s < p + eps for s in set(splits)) for p in points])
+
+
 def test_convolve_blocks_match_per_window_bitwise():
     eps, g = 0.125, tp.StepDatum(0.0)
     kern = dr.Mollifier(eps=eps, dim=1).kernel
@@ -527,9 +586,39 @@ def test_convolve_blocks_match_per_window_bitwise():
     points = np.concatenate([np.linspace(-3.0, 3.0, 2 * tp._CONV_BLOCK + 37), on_split])
     unsplit = np.sum((points - eps >= 0.0) | (points + eps <= 0.0))
     assert tp._CONV_BLOCK * 2 < unsplit < len(points)
-    for splits in ((0.0,), (0.0, -2.0, 0.0, 2.0), ()):
+    for splits in ((0.0,), (0.0, -2.0, 0.0, 2.0), (), (0.0, 0.1)):
         got = tp._convolve_at(points, g, eps, kern, 24, splits)
         assert np.array_equal(got, _convolve_per_window(points, g, eps, kern, 24, splits))
+    # two splits inside one window, and a window with a split on its edge and one inside
+    assert np.any(_inside(points, eps, (0.0, 0.1)) == 2)
+    assert _inside(on_split, eps, (0.0, 0.1))[0] == 1
+
+
+@pytest.mark.parametrize(
+    "eps, inner_cells, points, splits, case",
+    [
+        # one split inside more than _CONV_BLOCK windows: the group spans blocks
+        (2.0, 24, np.linspace(-3.0, 3.0, 2 * tp._CONV_BLOCK + 37), (0.0, 5.0), "wide"),
+        # 2 eps / 16 = 2^-6, so the window at 0.0625 has a linspace edge on the split at 0
+        (0.125, 16, np.array([-0.5, 0.25, 0.0625, 0.3, 1.0]), (0.0,), "split on an edge"),
+        # two splits inside the window at 0.0625, both on its edges; 0.0 given twice
+        (0.125, 16, np.array([0.0625, 0.15625, 0.2]), (0.0, 0.0, 0.0625, 0.25), "two on edges"),
+    ],
+)
+def test_convolve_split_groups_match_per_window_bitwise(eps, inner_cells, points, splits, case):
+    kern = dr.Mollifier(eps=eps, dim=1).kernel
+    g = lambda x: np.sin(3.0 * np.asarray(x, dtype=float)) + (np.asarray(x) > 0.0)
+    inside = _inside(points, eps, splits)
+    if case == "wide":
+        assert np.sum(inside == 1) > tp._CONV_BLOCK and np.any(inside == 0)
+    else:
+        # some window with a split inside has that split on one of its linspace edges
+        assert any(
+            np.isin(cuts, np.linspace(p - eps, p + eps, inner_cells + 1)).any()
+            for p, cuts in ((p, [s for s in splits if p - eps < s < p + eps]) for p in points)
+        )
+    got = tp._convolve_at(points, g, eps, kern, inner_cells, splits)
+    assert np.array_equal(got, _convolve_per_window(points, g, eps, kern, inner_cells, splits))
 
 
 def test_commutator_convolutions_match_per_window_bitwise(monkeypatch, path):
@@ -575,6 +664,27 @@ def test_commutator_ladder_report():
     assert len(rep.values) == 3
     with pytest.raises(tp.TransportError):
         tp.CommutatorReport(eps_ladder=(0.1, 0.2), values=(1.0, 1.0), decay_exponent=0.0)
+
+
+@pytest.mark.parametrize(
+    "eps, inner_cells, key",
+    [(0.05, 0, "inner_cells"), (0.05, -3, "inner_cells"), (0.05, 2.5, "inner_cells"),
+     (0.05, True, "inner_cells"), (np.nan, 24, "eps"), (0.0, 24, "eps"), (np.inf, 24, "eps")],
+)
+@pytest.mark.parametrize("entry", ["commutator", "ladder", "along_flow"])
+def test_commutators_reject_bad_eps_and_inner_cells(path, entry, eps, inner_cells, key):
+    # inner_cells=0 gave 0.0, -3 numpy's ValueError, and eps=nan math.ceil's ValueError
+    v, g, rho = dr.HolderPowerDrift(gamma=0.5, cap=2.0), tp.StepDatum(0.0), tp.TestFunction(0.3, 1.2)
+    run = {
+        "commutator": lambda: tp.commutator(v, g, eps, rho, inner_cells=inner_cells),
+        "ladder": lambda: tp.commutator_ladder(v, g, rho, (0.1, eps), inner_cells=inner_cells),
+        "along_flow": lambda: tp.commutator_along_flow(
+            v, g, eps, rho, fl.forward_flow(v, path, np.linspace(-4, 4, 65), 0.0, [0.5]), 0.5,
+            inner_cells=inner_cells,
+        ),
+    }[entry]
+    with pytest.raises(tp.TransportError, match=f"^{key}="):
+        run()
 
 
 @pytest.mark.parametrize("ladder", [(), (0.1,)])
