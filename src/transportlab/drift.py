@@ -57,11 +57,10 @@ def _fields_equal(a, b):
 def bump_value(u):
     """Unnormalized C^inf bump exp(-1/(1-u^2)) on (-1, 1), zero outside."""
     u = np.asarray(u, dtype=float)
-    out = np.zeros_like(u)
-    inside = np.abs(u) < 1.0
-    ui = u[inside]
-    out[inside] = np.exp(-1.0 / (1.0 - ui * ui))
-    return out
+    # |u| capped at 1 keeps NaN and |u| >= 1 out of the division; exp(-inf) is +0
+    m = np.minimum(np.abs(u), 1.0)
+    out = np.divide(-1.0, 1.0 - m * m, out=np.full_like(m, -np.inf), where=m < 1.0)
+    return np.exp(out, out=out)
 
 
 def bump_derivative(u):
@@ -245,10 +244,6 @@ class Drift:
             acc = acc + (self._value(t, x + e)[..., i] - self._value(t, x - e)[..., i]) / (2.0 * h)
         return acc
 
-    def sup_norm(self, radius=None):
-        """Supremum of |b| (over B(radius) for unbounded variants)."""
-        raise NotImplementedError
-
     def _check_point(self, x):
         x = np.asarray(x, dtype=float)
         if x.ndim == 0 or x.shape[-1] != self.dim:
@@ -270,9 +265,6 @@ class ZeroDrift(Drift):
 
     def divergence_analytic(self, t, x):
         return np.zeros(x.shape[:-1])
-
-    def sup_norm(self, radius=None):
-        return 0.0
 
 
 @dataclass(frozen=True)
@@ -325,9 +317,6 @@ class HolderPowerDrift(Drift):
         out = np.where((absx == 0.0) | (absx == self.cap), np.nan, out)
         return out
 
-    def sup_norm(self, radius=None):
-        return self.coef * self.cap**self.gamma
-
 
 @dataclass(frozen=True)
 class Rotation2DDrift(Drift):
@@ -344,11 +333,6 @@ class Rotation2DDrift(Drift):
 
     def divergence_analytic(self, t, x):
         return np.zeros(x.shape[:-1])
-
-    def sup_norm(self, radius=None):
-        if radius is None:
-            raise DriftError("rotation field is unbounded; pass a radius")
-        return abs(self.omega) * radius
 
 
 @dataclass(frozen=True)
@@ -369,11 +353,6 @@ class LinearDrift(Drift):
 
     def divergence_analytic(self, t, x):
         return np.full(x.shape[:-1], float(np.trace(self.matrix)))
-
-    def sup_norm(self, radius=None):
-        if radius is None:
-            raise DriftError("linear field is unbounded; pass a radius")
-        return float(np.linalg.norm(self.matrix, 2)) * radius
 
     __eq__ = _fields_equal
 
@@ -406,16 +385,6 @@ class RandomShiftSqrtDrift(Drift):
 
     def _value(self, t, x):
         return np.sqrt(np.abs(x - self._shift(t)))
-
-    def sup_norm(self, radius=None):
-        if radius is None:
-            raise DriftError("random-shift field is unbounded; pass a radius")
-        w = 0.0
-        if self.path is not None:
-            from . import noise
-
-            w = float(np.max(np.abs(noise.grid_values(self.path))))
-        return float(np.sqrt(radius + w))
 
 
 @dataclass(frozen=True)
@@ -509,9 +478,6 @@ class MollifiedDrift(Drift):
             acc = term if acc is None else acc + term
         return acc
 
-    def sup_norm(self, radius=None):
-        return self.base.sup_norm(radius)
-
 
 @dataclass(frozen=True)
 class GridSampledDrift(Drift):
@@ -528,9 +494,6 @@ class GridSampledDrift(Drift):
 
     def _value(self, t, x):
         return self.field.interpolate(t, x)
-
-    def sup_norm(self, radius=None):
-        return float(np.max(np.abs(self.field.values)))
 
 
 # ---------------------------------------------------------------------------

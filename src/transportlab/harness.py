@@ -128,6 +128,7 @@ def _parse_value(text: str):
 
 def load_config(experiment=None, path=None, overrides=()):
     """Assemble a config: experiment defaults <- JSON file <- --set overrides."""
+    from . import drift as _drift
     from . import experiments as _exp
 
     data = {}
@@ -158,15 +159,20 @@ def load_config(experiment=None, path=None, overrides=()):
         raise ConfigError(f"unknown config fields: {sorted(unknown)}")
     config = ExperimentConfig(**merged).validate()
     # the experiments read grid and extra values unchecked: an override must have
-    # the stock value's kind, and an extra key the stock config lacks is read by none
+    # the stock value's kind, and a key the stock config lacks is read by none
     for table in ("grid", "extra"):
         stock = spec.defaults.get(table, {})
         for key, v in getattr(config, table).items():
-            if table == "extra" and key not in stock:
-                raise ConfigError(f"extra.{key}: {experiment} reads no such key; its extra keys are {sorted(stock)}")
-            kind = _unlike_stock(v, stock[key]) if key in stock else None
+            if key not in stock:
+                raise ConfigError(f"{table}.{key}: {experiment} reads no such key; its {table} keys are {sorted(stock)}")
+            kind = _unlike_stock(v, stock[key])
             if kind:
                 raise ConfigError(f"{table}.{key}: must be {kind} like its stock value {stock[key]!r}, got {v!r}")
+    if config.drift is not None:
+        try:
+            _drift.drift_from_dict(config.drift)
+        except _drift.DriftError as exc:
+            raise ConfigError(f"drift: {exc}") from exc
     return config
 
 

@@ -214,14 +214,19 @@ def _cells(theta, shift, n_x, splits):
                   _native(points), _native(shift))
 
 
-def _stieltjes_div(spec: Drift, s, edge_points, cofactor_at_mid, axis=0):
-    """int d_i b_i(s, x) cofactor(x) dx, i = ``axis``, as the Riemann-Stieltjes
-    sum of (b_i(e+) - b_i(e-)) cofactor(mid) over the cells of that axis;
+def _steps(spec: Drift, s, edge_points, axis=0):
+    """b_i(e+) - b_i(e-), i = ``axis``, across the cells of that axis;
     ``edge_points`` (..., d) runs over the cell edges along ``axis``."""
     bvals = spec.value(s, edge_points)[..., axis]
     hi = (slice(None),) * axis + (slice(1, None),)
     lo = (slice(None),) * axis + (slice(None, -1),)
-    return float(np.sum((bvals[hi] - bvals[lo]) * cofactor_at_mid))
+    return bvals[hi] - bvals[lo]
+
+
+def _stieltjes_div(spec: Drift, s, edge_points, cofactor_at_mid, axis=0):
+    """int d_i b_i(s, x) cofactor(x) dx, i = ``axis``, as the Riemann-Stieltjes
+    sum of (b_i(e+) - b_i(e-)) cofactor(mid) over the cells of that axis."""
+    return float(np.sum(_steps(spec, s, edge_points, axis) * cofactor_at_mid))
 
 
 def _sharp_points(spec: Drift):
@@ -327,13 +332,15 @@ def _time_from_origin(gamma, cap, z):
 def _phi_inverse_positive(gamma, cap, t, y):
     """phi_t^{-1}(y) for a float array y > x_+(t) on the positive half line."""
     slope = cap**gamma / (1.0 - gamma)
-    below = np.maximum(y ** (1.0 - gamma) - t, 0.0) ** (1.0 / (1.0 - gamma))
+    out = np.maximum(y ** (1.0 - gamma) - t, 0.0) ** (1.0 / (1.0 - gamma))
+    far = y > cap
+    y = y[far]
     t_lin = np.maximum((y - cap) / slope, 0.0)
     rem = np.maximum(t - t_lin, 0.0)
     above_far = y - t * slope  # never re-enters the capped zone
     above_near = np.maximum(cap ** (1.0 - gamma) - rem, 0.0) ** (1.0 / (1.0 - gamma))
-    above = np.where(t <= t_lin, above_far, above_near)
-    return np.where(y <= cap, below, above)
+    out[far] = np.where(t <= t_lin, above_far, above_near)
+    return out
 
 
 def deterministic_family(gamma, cap, u0, gamma_plus, gamma_minus, t, x):
@@ -348,21 +355,22 @@ def deterministic_family(gamma, cap, u0, gamma_plus, gamma_minus, t, x):
     """
     if not 0.0 < gamma < 1.0:
         raise TransportError("family exponent must lie in (0, 1)")
-    if t <= 0:
-        raise TransportError("family is defined for t > 0")
+    for name, v in (("t", t), ("cap", cap)):
+        if not (math.isfinite(v) and v > 0):
+            raise TransportError(f"{name}={v!r}: the family needs a finite {name} > 0")
     x = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(x)):
         raise TransportError(f"x: the family needs finite points, {np.count_nonzero(~np.isfinite(x))} are not")
     xp = float(_flow.holder_extremal_branch(gamma, cap, t))
-    t0 = t - _time_from_origin(gamma, cap, np.abs(x))
+    absx = np.abs(x)
+    t0 = t - _time_from_origin(gamma, cap, absx)
     out = np.empty_like(x)
 
-    hi = x > xp
-    lo = x < -xp
-    mid_plus = (x >= 0.0) & ~hi
-    mid_minus = (x < 0.0) & ~lo
-    out[hi] = u0(_phi_inverse_positive(gamma, cap, t, x[hi]))
-    out[lo] = u0(-_phi_inverse_positive(gamma, cap, t, -x[lo]))
+    outer = absx > xp
+    mid_plus = (x >= 0.0) & ~outer
+    mid_minus = (x < 0.0) & ~outer
+    # phi^{-1} is odd, and the inverse on |x| is never -0.0, so copysign gives -p for x < 0
+    out[outer] = u0(np.copysign(_phi_inverse_positive(gamma, cap, t, absx[outer]), x[outer]))
     out[mid_plus] = gamma_plus(t0[mid_plus])
     out[mid_minus] = gamma_minus(t0[mid_minus])
     return out
@@ -434,22 +442,29 @@ def _against_theta(u, theta, shift, n_x, splits, name):
     return float(np.sum(cells.W * u_x * theta.value(cells.x + cells.shift)))
 
 
-def _drift_term(provider, spec, theta, s, cells, u):
-    """int u_s (b . grad theta + div b theta)(x + shift) dx; ``u`` is u_s at the
-    cell nodes.  div b enters axis by axis: b_i differenced across the cells of
-    axis i, at the Gauss nodes (and weights) of the other axes."""
+def _drift_terms(providers, spec, theta, s, cells):
+    """Per provider, (u_s at the cell nodes, int u_s (b . grad theta + div b theta)(x + shift) dx).
+
+    div b enters axis by axis: b_i differenced across the cells of axis i, at
+    the Gauss nodes (and weights) of the other axes.  The providers share all
+    but u_s; each term keeps the one-provider products (W b . grad theta) u and
+    (b_i steps) (theta u at the midpoints), so it has that provider's bits."""
     grad = np.reshape(theta.grad(cells.x + cells.shift), cells.points.shape)
     b = spec.value(s, cells.points)
     b_grad = reduce(np.add, [cells.W * b[..., i] * grad[..., i] for i in range(b.shape[-1])])
-    total = float(np.sum(b_grad * u))
+    us = [_on_grid(p(s, cells.x), cells.points, "provider") for p in providers]
+    totals = [float(np.sum(b_grad * u)) for u in us]
     for i, e in enumerate(cells.edges):
         edge_points = _tensor(cells.nodes[:i] + (e,) + cells.nodes[i + 1:])
         mid_points = _tensor(cells.nodes[:i] + (0.5 * (e[:-1] + e[1:]),) + cells.nodes[i + 1:])
         mids = _native(mid_points)
-        cof = theta.value(mids + cells.shift) * _on_grid(provider(s, mids), mid_points, "provider")
-        cof = reduce(np.multiply, cells.weights[:i] + cells.weights[i + 1:], cof)
-        total += _stieltjes_div(spec, s, edge_points, cof, axis=i)
-    return total
+        theta_mid = theta.value(mids + cells.shift)
+        steps = _steps(spec, s, edge_points, axis=i)
+        for j, p in enumerate(providers):
+            cof = theta_mid * _on_grid(p(s, mids), mid_points, "provider")
+            cof = reduce(np.multiply, cells.weights[:i] + cells.weights[i + 1:], cof)
+            totals[j] += float(np.sum(steps * cof))
+    return list(zip(us, totals))
 
 
 def _check_weak_form(spec, theta, path, n_x):
@@ -487,26 +502,34 @@ def perturbative_residual(provider, spec, theta, path, t, n_x=512, n_s=512, sign
     in 2-d the default n_x = 512 makes that about a million nodes, roughly
     120 MB of temporaries per node; pass a smaller ``n_x`` there.
     """
+    defect = _perturbative_residuals([provider], spec, theta, path, t, n_x, n_s)[0]
+    return defect if signed else abs(defect)
+
+
+def _perturbative_residuals(providers, spec, theta, path, t, n_x, n_s):
+    """Signed ``perturbative_residual`` of each provider, bit for bit, with the
+    time-node cells and drift values computed once for all of them: the
+    providers must jump at the same points at every time node."""
     _check_weak_form(spec, theta, path, n_x)
     idx, stride = _time_indices(path, t, n_s)
     wt = _noise.evaluate(path, t)
     grid_w = _noise.grid_values(path)
-    lhs = _against_theta(lambda x: provider(t, x), theta, np.zeros(spec.dim), n_x,
-                         tuple(provider.discontinuities(t)), "provider")
-    u0 = provider.u0
-    term0 = _against_theta(u0, theta, wt, n_x, tuple(getattr(u0, "discontinuities", ())), "u0")
-
     sharp = _sharp_points(spec)
-    ivals = np.empty(len(idx))
+    ivals = np.empty((len(providers), len(idx)))
     for j, k in enumerate(idx):
         s = k * path.dt
-        shift = wt - grid_w[k]
-        cells = _cells(theta, shift, n_x, tuple(provider.discontinuities(s)) + sharp)
-        u = _on_grid(provider(s, cells.x), cells.points, "provider")
-        ivals[j] = _drift_term(provider, spec, theta, s, cells, u)
-    rhs = term0 + float(np.trapezoid(ivals, dx=stride * path.dt))
-    defect = lhs - rhs
-    return defect if signed else abs(defect)
+        splits = {tuple(p.discontinuities(s)) for p in providers}
+        if len(splits) > 1:
+            raise TransportError(f"providers jump at different points at s={s}: {sorted(splits)}")
+        cells = _cells(theta, wt - grid_w[k], n_x, splits.pop() + sharp)
+        ivals[:, j] = [term for _, term in _drift_terms(providers, spec, theta, s, cells)]
+    defects = []
+    for p, row in zip(providers, ivals):
+        lhs = _against_theta(lambda x: p(t, x), theta, np.zeros(spec.dim), n_x,
+                             tuple(p.discontinuities(t)), "provider")
+        term0 = _against_theta(p.u0, theta, wt, n_x, tuple(getattr(p.u0, "discontinuities", ())), "u0")
+        defects.append(lhs - (term0 + float(np.trapezoid(row, dx=stride * path.dt))))
+    return defects
 
 
 def weak_residual_ito(provider, spec, theta, path, t, n_x=512, signed=False):
@@ -532,8 +555,7 @@ def weak_residual_ito(provider, spec, theta, path, t, n_x=512, signed=False):
     for k in range(K + 1):
         s = k * path.dt
         cells = _cells(theta, zero, n_x, tuple(provider.discontinuities(s)) + sharp)
-        u = _on_grid(provider(s, cells.x), cells.points, "provider")
-        A[k] = _drift_term(provider, spec, theta, s, cells, u)
+        [(u, A[k])] = _drift_terms([provider], spec, theta, s, cells)
         wu = cells.W * u
         grad = np.reshape(theta.grad(cells.x), cells.points.shape)
         B[k] = [np.sum(wu * grad[..., i]) for i in range(spec.dim)]
@@ -570,7 +592,9 @@ def _convolve_at(points, fn, eps, kernel, inner_cells, splits):
     window's splits sorted in.  Each row gets the edges, node values and
     pairwise row sum of a single-window evaluation, so the result is bit for
     bit the per-window sum.  A split on a linspace edge doubles that edge,
-    which ``_edges`` drops: only such windows are redone one at a time.
+    which ``_edges`` drops: only such windows are redone one at a time.  A
+    row whose values are all signed zeros skips the kernel: w theta_eps is
+    finite and >= +0, so each product there is the value itself.
     """
     points = np.asarray(points, dtype=float)
     lo, hi = points - eps, points + eps
@@ -582,19 +606,26 @@ def _convolve_at(points, fn, eps, kernel, inner_cells, splits):
     def rows(idx, edges):
         nodes, w = _gauss_nodes_weights(edges)
         vals = fn(nodes.ravel()).reshape(nodes.shape)
-        out[idx] = np.sum(w * kernel(points[idx, None] - nodes) * vals, axis=-1)
+        zero = ~np.any(vals, axis=-1)
+        if zero.any():
+            out[idx[zero]] = vals[zero].sum(axis=-1)
+            idx, nodes, w, vals = idx[~zero], nodes[~zero], w[~zero], vals[~zero]
+        if len(idx):
+            out[idx] = np.sum(w * kernel(points[idx, None] - nodes) * vals, axis=-1)
 
     for k in np.unique(count):
         members = np.flatnonzero(count == k)
         for start in range(0, len(members), _CONV_BLOCK):
             idx = members[start:start + _CONV_BLOCK]
-            edges = np.linspace(lo[idx], hi[idx], int(inner_cells) + 1, axis=-1)
+            # np.linspace's own arithmetic, built C-ordered: strided rows would sum in another order
+            edges = np.arange(inner_cells + 1) * ((hi[idx] - lo[idx]) / inner_cells)[:, None]
+            edges += lo[idx, None]
+            edges[:, -1] = hi[idx]
             if k:
                 edges = np.sort(np.concatenate([edges, cuts[first[idx, None] + np.arange(k)]], axis=-1))
-            # linspace along the last axis is F-ordered: strided rows would sum in another order
-            rows(idx, np.ascontiguousarray(edges))
+            rows(idx, edges)
             for i in idx[np.any(edges[:, 1:] == edges[:, :-1], axis=-1)] if k else ():
-                rows([i], _edges(lo[i], hi[i], inner_cells, splits)[None])
+                rows(np.array([i]), _edges(lo[i], hi[i], inner_cells, splits)[None])
     return out
 
 
@@ -650,8 +681,9 @@ def _commutator_core(v, g, eps, lo, hi, weight, dweight, n_outer, inner_cells, t
         raise TransportError("commutator quadrature is one-dimensional")
     if not (math.isfinite(eps) and eps > 0.0):
         raise TransportError(f"eps={eps!r}: the mollifier needs a finite width > 0")
-    if isinstance(inner_cells, bool) or not isinstance(inner_cells, (int, np.integer)) or inner_cells < 1:
-        raise TransportError(f"inner_cells={inner_cells!r}: a window needs an integer number of cells >= 1")
+    for name, n in (("inner_cells", inner_cells), ("n_outer", n_outer)):
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+            raise TransportError(f"{name}={n!r}: the quadrature needs an integer number of cells >= 1")
     kern = Mollifier(eps=float(eps), dim=1).kernel
     g_splits = tuple(getattr(g, "discontinuities", ()))
     v_splits = _sharp_points(v)
@@ -694,15 +726,14 @@ def commutator_along_flow(v, g, eps, rho, ens, t, n_outer=256, inner_cells=24):
     init = ens.initial[:, 0]
     lo = float(np.interp(rho.center - rho.radius, init, img))
     hi = float(np.interp(rho.center + rho.radius, init, img))
+    inverse_slope = _inverse_slope(init, img)
 
     def weight(y):
-        x = _flow.inverse_flow_interpolate(ens, y, t)
-        jinv = _inverse_slope(init, img, np.asarray(y))
-        return rho.value(x) * jinv
+        return rho.value(_flow.inverse_flow_interpolate(ens, y, t)) * inverse_slope(y)
 
     def dweight(y):
         x = _flow.inverse_flow_interpolate(ens, y, t)
-        jinv = _inverse_slope(init, img, np.asarray(y))
+        jinv = inverse_slope(y)
         return rho.grad(x) * jinv * jinv
 
     return _commutator_core(
@@ -711,10 +742,11 @@ def commutator_along_flow(v, g, eps, rho, ens, t, n_outer=256, inner_cells=24):
     )
 
 
-def _inverse_slope(init, img, y):
-    """d/dy of the piecewise-linear inverse map (piecewise constant)."""
-    idx = np.clip(np.searchsorted(img, y) - 1, 0, len(img) - 2)
-    return (init[idx + 1] - init[idx]) / (img[idx + 1] - img[idx])
+def _inverse_slope(init, img):
+    """y -> d/dy of the piecewise-linear inverse map (piecewise constant), its
+    slopes tabulated once per lattice interval."""
+    slopes = (init[1:] - init[:-1]) / (img[1:] - img[:-1])
+    return lambda y: slopes[np.clip(np.searchsorted(img, y) - 1, 0, len(img) - 2)]
 
 
 # ---------------------------------------------------------------------------
@@ -753,10 +785,7 @@ def uniqueness_gap_experiment(
             DeterministicFamilySolution(gamma, cap, u0, (lambda s, a=a: a), (lambda s, a=a: a))
             for a in a_values
         ]
-        residuals = [
-            perturbative_residual(m, spec, theta, zero, t, n_x=n_x, n_s=n_s)
-            for m in members
-        ]
+        residuals = [abs(d) for d in _perturbative_residuals(members, spec, theta, zero, t, n_x, n_s)]
         xp = float(_flow.holder_extremal_branch(gamma, cap, t))
         probe = np.linspace(-0.95 * xp, 0.95 * xp, 101)
         fields = [m(t, probe) for m in members]

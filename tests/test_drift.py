@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -150,6 +152,35 @@ def test_mollifier_normalization_and_support():
     offsets, weights = moll.nodes()
     assert weights.sum() == pytest.approx(1.0, abs=1e-14)
     assert np.max(np.abs(offsets)) < 0.2
+
+
+def _bump_masked(u):
+    """Oracle: the bump through a boolean gather and scatter."""
+    u = np.asarray(u, dtype=float)
+    out = np.zeros_like(u)
+    inside = np.abs(u) < 1.0
+    ui = u[inside]
+    out[inside] = np.exp(-1.0 / (1.0 - ui * ui))
+    return out
+
+
+_NEAR_ONE = np.nextafter(1.0, 0.0)
+
+
+@pytest.mark.parametrize(
+    "u",
+    [
+        [1.0, -1.0, 0.0, -0.0, np.inf, -np.inf, 1e300, -1e300, np.nan, _NEAR_ONE, -_NEAR_ONE, 0.5],
+        np.linspace(-1.5, 1.5, 4002).reshape(3, -1)[:, ::2],  # strided
+        0.3, -0.0, 1.0, np.inf, np.array(-0.7),
+    ],
+)
+def test_bump_value_matches_masked_formula_bitwise(u):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = dr.bump_value(u)
+    want = _bump_masked(u)
+    assert type(got) is type(want) and got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize(

@@ -63,6 +63,14 @@ def test_bad_config_values_name_their_key(override, key):
         # an extra key the stock config lacks is read by no experiment
         ("grad-decay", "extra.gama=0.3", "extra.gama"),
         ("zero-drift-sanity", "extra.gamma=0.3", "extra.gamma"),
+        # likewise a grid key
+        ("zero-drift-sanity", "grid.n_side=abc", "grid.n_side"),
+        ("det-nonuniqueness", "grid.dt=0.1", "grid.dt"),
+        # a drift the catalogue cannot build
+        ("mean-pde-mc", 'drift={"kind":"nope"}', "drift"),
+        ("mean-pde-mc", "drift=[1]", "drift"),
+        ("mean-pde-mc", 'drift={"kind":"holder_power"}', "drift"),
+        ("conjugated-sde", "drift=abc", "drift"),
     ],
 )
 def test_bad_grid_and_extra_values_name_their_key(experiment, override, key):
@@ -265,6 +273,8 @@ def test_cli_exit_code_on_failure(tmp_path):
         ("grad-decay", "extra.gamma=abc", "extra.gamma"),
         ("measure-preservation", "grid.n_side=abc", "grid.n_side"),
         ("grad-decay", "extra.gama=0.3", "extra.gama"),
+        ("zero-drift-sanity", "grid.n_side=abc", "grid.n_side"),
+        ("mean-pde-mc", 'drift={"kind":"nope"}', "drift"),
     ],
 )
 def test_cli_bad_config_value_is_a_usage_error(tmp_path, experiment, override, key):
@@ -287,6 +297,7 @@ def test_config_drift_override(tmp_path):
     cfg_file = tmp_path / "c.json"
     cfg_file.write_text(json.dumps({"seed": 11, "drift": {"kind": "zero", "dim": 1}}))
     cfg = harness.load_config("conjugated-sde", path=cfg_file)
+    assert cfg.drift == {"kind": "zero", "dim": 1}  # parsed, and echoed in the report as given
     rep = harness.run_experiment(cfg, write=False)
     rows = {r.name: r for r in rep.rows}
     # zero drift: psi vanishes, the two routes coincide up to rounding

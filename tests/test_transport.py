@@ -127,6 +127,8 @@ def test_family_matches_previous_formula_bitwise(gamma):
         x = np.concatenate([
             rng.uniform(-(xp + 3.0), xp + 3.0, 200),
             [0.0, -0.0, xp, -xp, np.nextafter(xp, 9.0), -np.nextafter(xp, 9.0), cap, -cap],
+            # past the cap on both outer branches, inside and beyond the linear stretch
+            [xp + cap, -(xp + cap), xp + 9.0 * cap, -(xp + 9.0 * cap)],
         ])
         for u0 in (identity, tp.StepDatum(0.0), tp.SmoothBumpDatum(0.5, 2.0)):
             for gp, gm in branches:
@@ -139,6 +141,15 @@ def test_family_matches_previous_formula_bitwise(gamma):
 def test_family_rejects_non_finite_points(x):
     with pytest.raises(tp.TransportError, match="^x: "):
         tp.deterministic_family(0.5, 2.0, tp.StepDatum(0.0), lambda s: 0.0, lambda s: 1.0, 1.0, x)
+
+
+@pytest.mark.parametrize("name", ["t", "cap"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0])
+def test_family_rejects_bad_t_and_cap(name, bad):
+    # t=nan and cap=nan returned [0.5]
+    args = {"t": 1.0, "cap": 2.0, name: bad}
+    with pytest.raises(tp.TransportError, match=f"^{name}="):
+        tp.deterministic_family(0.5, args["cap"], tp.StepDatum(0.0), lambda s: 0.5, lambda s: 0.5, args["t"], [0.5])
 
 
 def test_branch_capped_inverse():
@@ -344,6 +355,29 @@ def test_perturbative_matches_previous_1d_loop_bitwise(path):
     edges = tp._edges(-1.5, 1.7, 200, tp._sharp_points(spec))
     cof = np.cos(0.5 * (edges[:-1] + edges[1:]))
     assert tp._stieltjes_div(spec, 0.3, edges[..., None], cof) == _stieltjes_div_reference(spec, 0.3, edges, cof)
+
+
+def test_family_members_share_time_nodes_bitwise():
+    spec = dr.HolderPowerDrift(gamma=0.5, cap=2.0)
+    zero = nz.zero_path(1, 1.0, 2**-7)
+    theta = tp.TestFunction(0.1, 2.0)
+    members = [
+        tp.DeterministicFamilySolution(0.5, 2.0, tp.StepDatum(0.0), lambda s, a=a: a, lambda s, a=a: 1 - a)
+        for a in (0.0, 0.5, 1.0)
+    ]
+    got = tp._perturbative_residuals(members, spec, theta, zero, 1.0, 97, 128)
+    assert got == [_perturbative_reference(m, spec, theta, zero, 1.0, 97, 128) for m in members]
+    # the experiment's noiseless branch: gamma_+ = gamma_- = a, theta on [-2, 2]
+    out = tp.uniqueness_gap_experiment(0.5, 2.0, tp.StepDatum(0.0), noise_on=False, n_x=97, n_s=128)
+    same = [tp.DeterministicFamilySolution(0.5, 2.0, tp.StepDatum(0.0), lambda s, a=a: a, lambda s, a=a: a)
+            for a in (0.0, 0.5, 1.0)]
+    path = nz.zero_path(1, 1.0, 1.0 / 128)
+    assert out["residuals"] == [
+        abs(_perturbative_reference(m, spec, tp.TestFunction(0.0, 2.0), path, 1.0, 97, 128)) for m in same
+    ]
+    # a constant field does not jump where the family does
+    with pytest.raises(tp.TransportError, match="jump at different points"):
+        tp._perturbative_residuals([members[0], tp.ConstantField(0.5)], spec, theta, zero, 1.0, 97, 128)
 
 
 @pytest.mark.parametrize(
@@ -619,6 +653,72 @@ def test_convolve_split_groups_match_per_window_bitwise(eps, inner_cells, points
         )
     got = tp._convolve_at(points, g, eps, kern, inner_cells, splits)
     assert np.array_equal(got, _convolve_per_window(points, g, eps, kern, inner_cells, splits))
+
+
+_STEP = tp.StepDatum(0.0)
+_POWER = dr.HolderPowerDrift(gamma=0.5, cap=2.0)
+
+
+@pytest.mark.parametrize(
+    "case, points, fn",
+    [
+        ("mixed", np.linspace(-1.0, 1.0, 2 * tp._CONV_BLOCK + 37), _STEP),
+        ("all zero", np.linspace(-3.0, -0.5, 300), _STEP),
+        # g v left of the jump: 0 * (v < 0) is -0.0
+        ("all -0.0", np.linspace(-3.0, -0.5, 300), lambda x: _STEP(x) * _POWER.value(0.0, x[..., None])[..., 0]),
+        ("signed-zero mix", np.linspace(-1.0, 1.0, 301),
+         lambda x: np.where(x > 0.5, np.sin(x), np.copysign(0.0, np.sin(8.0 * x)))),
+    ],
+)
+def test_convolve_zero_rows_match_per_window_bitwise(case, points, fn):
+    eps = 0.125
+    kern = dr.Mollifier(eps=eps, dim=1).kernel
+    rows = []
+    counting = lambda r: rows.append(len(r)) or kern(r)
+    got = tp._convolve_at(points, fn, eps, counting, 24, (0.0,))
+    assert got.tobytes() == _convolve_per_window(points, fn, eps, kern, 24, (0.0,)).tobytes()
+    # rows of signed zeros never reach the kernel
+    zeros = fn(points)[fn(points) == 0.0]
+    if case in ("all zero", "all -0.0"):
+        assert rows == [] and not np.any(got)
+        assert np.all(np.signbit(zeros)) == (case == "all -0.0")
+    else:
+        assert 0 < sum(rows) < len(points)
+        assert np.any(np.signbit(zeros)) == (case == "signed-zero mix") and not np.all(np.signbit(zeros))
+
+
+@pytest.mark.parametrize("inner_cells", [1, 24, 25])
+def test_convolve_edges_are_linspace_bitwise(monkeypatch, inner_cells):
+    eps = 0.0125
+    points = np.concatenate([np.linspace(-5.0, 5.0, tp._CONV_BLOCK + 3), [0.1, -0.3, 1e-3]])
+    seen = []
+    gauss = tp._gauss_nodes_weights
+    monkeypatch.setattr(tp, "_gauss_nodes_weights", lambda e: seen.append(e) or gauss(e))
+    tp._convolve_at(points, np.cos, eps, dr.Mollifier(eps=eps, dim=1).kernel, inner_cells, ())
+    assert len(seen) == 2 and all(e.flags.c_contiguous for e in seen)
+    want = np.linspace(points - eps, points + eps, inner_cells + 1, axis=-1)
+    assert np.concatenate(seen).tobytes() == np.ascontiguousarray(want).tobytes()
+
+
+def _inverse_slope_per_call(init, img, y):
+    """Oracle: the slope of the inverse map computed at every call."""
+    idx = np.clip(np.searchsorted(img, y) - 1, 0, len(img) - 2)
+    return (init[idx + 1] - init[idx]) / (img[idx + 1] - img[idx])
+
+
+def test_inverse_slope_table_matches_per_call_formula_bitwise(path):
+    ens = fl.forward_flow(_POWER, path, np.linspace(-5.0, 5.0, 513), 0.0, [0.5])
+    img, init = ens.states_at(0.5)[:, 0], ens.initial[:, 0]
+    # on image points, both ends and past them
+    y = np.concatenate([img[[0, 1, 256, -2, -1]], [img[0] - 1.0, img[-1] + 1.0], np.linspace(img[0], img[-1], 997)])
+    assert tp._inverse_slope(init, img)(y).tobytes() == _inverse_slope_per_call(init, img, y).tobytes()
+
+
+@pytest.mark.parametrize("n_outer", [np.nan, -5, 0, 2.5, True])
+def test_commutator_rejects_bad_n_outer(n_outer):
+    # nan raised Python's ValueError from int(), and -5 passed silently
+    with pytest.raises(tp.TransportError, match="^n_outer="):
+        tp.commutator(_POWER, _STEP, 0.05, tp.TestFunction(0.3, 1.2), n_outer=n_outer)
 
 
 def test_commutator_convolutions_match_per_window_bitwise(monkeypatch, path):
