@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import io
 import sys
 
 from . import harness
@@ -42,11 +43,17 @@ def main(argv=None):
         return 0
 
     if args.command == "plotdata":
+        # built in memory first: an unreadable report or unknown series leaves no --out file
+        buf = io.StringIO()
+        try:
+            harness.emit_plot_data(args.report, args.series, buf)
+        except (OSError, ValueError) as exc:
+            parser.error(str(exc))
         if args.out:
             with open(args.out, "w") as fh:
-                harness.emit_plot_data(args.report, args.series, fh)
+                fh.write(buf.getvalue())
         else:
-            harness.emit_plot_data(args.report, args.series, sys.stdout)
+            sys.stdout.write(buf.getvalue())
         return 0
 
     try:

@@ -11,7 +11,9 @@ not re-check its points at every quadrature node.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, fields
+from functools import cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -22,7 +24,6 @@ __all__ = [
     "HolderPowerDrift",
     "Rotation2DDrift",
     "LinearDrift",
-    "RandomShiftSqrtDrift",
     "MollifiedDrift",
     "GridSampledDrift",
     "Mollifier",
@@ -81,64 +82,28 @@ def _gauss_nodes(n):
 
 @dataclass(frozen=True)
 class Mollifier:
-    """Normalized bump kernel of radius ``eps`` in dimension ``dim``.
-
-    The profile is exp(-1/(1-|x|^2)) on the unit ball, scaled to unit mass;
-    it is even, smooth and supported in B(eps).  Quadrature against the
-    kernel uses fixed Gauss-Legendre nodes, with the weights renormalized to
-    sum exactly to one so that constants (and, by symmetry, affine fields)
-    are reproduced exactly.
-    """
+    """Normalized 1-d bump kernel of radius ``eps``: exp(-1/(1-x^2)) on
+    (-1, 1), scaled to unit mass; even, smooth and supported in (-eps, eps)."""
 
     eps: float
-    dim: int = 1
-    quad_points: int = 32
 
     def __post_init__(self):
         if self.eps <= 0:
             raise DriftError("mollifier radius must be positive")
-        if self.quad_points < 8:
-            raise DriftError("mollifier needs at least 8 quadrature points")
 
     def kernel(self, x):
-        """Kernel value theta_eps(x); x has shape (..., dim) (any shape if dim=1)."""
-        x = np.asarray(x, dtype=float)
-        if self.dim == 1:
-            r = np.abs(x)
-        else:
-            r = np.sqrt(np.sum(x * x, axis=-1))
-        return bump_value(r / self.eps) / (self._mass() * self.eps**self.dim)
-
-    def _mass(self):
-        return _bump_mass(self.dim)
-
-    def nodes(self):
-        """Offsets y_i and normalized weights w_i with sum(w_i) == 1.
-
-        The discrete convolution is (theta_eps * g)(x) = sum_i w_i g(x - y_i).
-        Offsets come in symmetric pairs, so odd functions convolve to zero at
-        the origin exactly.
-        """
-        return _mollifier_nodes(self.eps, self.dim, self.quad_points)
+        """Kernel value theta_eps(x) at points x of any shape."""
+        r = np.abs(np.asarray(x, dtype=float))
+        return bump_value(r / self.eps) / (_bump_mass() * self.eps)
 
 
-def _bump_mass(dim):
-    # integral of the unnormalized bump over R^dim, cached per dimension
-    if dim not in _BUMP_MASS:
-        u, w = _gauss_nodes(200)
-        if dim == 1:
-            _BUMP_MASS[dim] = float(np.sum(w * bump_value(u)))
-        elif dim == 2:
-            # radial: 2*pi * int_0^1 r exp(-1/(1-r^2)) dr on [0,1] nodes
-            r = 0.5 * (u + 1.0)
-            wr = 0.5 * w
-            _BUMP_MASS[dim] = float(2.0 * np.pi * np.sum(wr * r * bump_value(r)))
-        else:
-            raise DriftError(f"mollifier not implemented for dim={dim}")
-    return _BUMP_MASS[dim]
+@cache
+def _bump_mass():
+    """Integral of the unnormalized bump over R."""
+    u, w = _gauss_nodes(200)
+    return float(np.sum(w * bump_value(u)))
 
 
-_BUMP_MASS: dict[int, float] = {}
 # element budget of one grouped base call of a mollified drift (see _fan_out)
 _GROUP_ELEMENTS = 16384
 _NODE_CACHE: dict[tuple, tuple] = {}
@@ -191,6 +156,8 @@ def _mollifier_nodes(eps, dim, quad_points):
 # ---------------------------------------------------------------------------
 # drift variants
 
+_FD_STEP = 1e-5  # centered-difference step where a drift has no analytic divergence
+
 
 class Drift:
     """Base class; subclasses are immutable evaluators of b(t, x)."""
@@ -209,40 +176,22 @@ class Drift:
         """Analytic div b where defined; NaN marks points it is undefined at."""
         return np.full(x.shape[:-1], np.nan)
 
-    def divergence(self, t, x, h=1e-5, mode="auto"):
-        """div b(t, x) with step ``h`` for the centered-difference fallback.
+    def divergence(self, t, x):
+        """div b(t, x): analytic where the variant defines it, a centered
+        difference of step _FD_STEP at the points where it does not."""
+        return self._divergence(t, self._check_point(x))
 
-        mode="auto": analytic where the variant defines it, centered finite
-        differences elsewhere.  mode="analytic" raises at points without an
-        analytic value (e.g. the HolderPower singularity).  mode="fd" always
-        uses the stencil.
-        """
-        if h <= 0:
-            raise DriftError("finite-difference step h must be positive")
-        return self._divergence(t, self._check_point(x), h, mode)
-
-    def _divergence(self, t, x, h=1e-5, mode="auto"):
-        if mode == "fd":
-            return self._divergence_fd(t, x, h)
+    def _divergence(self, t, x):
         ana = self.divergence_analytic(t, x)
         bad = np.isnan(ana)
         if not np.any(bad):
             return ana
-        if mode == "analytic":
-            raise DriftError(
-                "analytic divergence undefined at some requested points "
-                "(HolderPower singularity x=0 or |x|=R)"
-            )
-        fd = self._divergence_fd(t, x, h)
-        return np.where(bad, fd, ana)
-
-    def _divergence_fd(self, t, x, h):
-        acc = 0.0
+        fd = 0.0
         for i in range(self.dim):
             e = np.zeros(self.dim)
-            e[i] = h
-            acc = acc + (self._value(t, x + e)[..., i] - self._value(t, x - e)[..., i]) / (2.0 * h)
-        return acc
+            e[i] = _FD_STEP
+            fd = fd + (self._value(t, x + e)[..., i] - self._value(t, x - e)[..., i]) / (2.0 * _FD_STEP)
+        return np.where(bad, fd, ana)
 
     def _check_point(self, x):
         x = np.asarray(x, dtype=float)
@@ -259,6 +208,10 @@ class Drift:
 @dataclass(frozen=True)
 class ZeroDrift(Drift):
     dim: int = 1
+
+    def __post_init__(self):
+        if self.dim < 1:
+            raise DriftError(f"zero drift needs dim >= 1, got {self.dim}")
 
     def _value(self, t, x):
         return np.zeros_like(x)
@@ -284,8 +237,8 @@ class HolderPowerDrift(Drift):
     def __post_init__(self):
         if not 0.0 < self.gamma < 1.0:
             raise DriftError("HolderPower exponent must lie in (0, 1)")
-        if not self.cap > 0:
-            raise DriftError("HolderPower truncation radius must be positive")
+        if not 0 < self.cap < math.inf:
+            raise DriftError("HolderPower truncation radius must be positive and finite")
         if self.dim != 1:
             raise DriftError("HolderPower drift is one-dimensional")
 
@@ -325,6 +278,10 @@ class Rotation2DDrift(Drift):
     omega: float = 1.0
     dim: int = 2
 
+    def __post_init__(self):
+        if not math.isfinite(self.omega):
+            raise DriftError(f"rotation rate must be finite, got {self.omega}")
+
     def _value(self, t, x):
         out = np.empty_like(x)
         out[..., 0] = -self.omega * x[..., 1]
@@ -362,32 +319,6 @@ class LinearDrift(Drift):
 
 
 @dataclass(frozen=True)
-class RandomShiftSqrtDrift(Drift):
-    """Random 1-d field sqrt(|x - W_t|) carried by an attached Brownian path.
-
-    The attached handle makes evaluation deterministic; querying outside the
-    path's time range is an error.
-    """
-
-    path: object = None
-    dim: int = 1
-    time_dependent: bool = True
-
-    def attach(self, path):
-        return RandomShiftSqrtDrift(path=path)
-
-    def _shift(self, t):
-        if self.path is None:
-            raise DriftError("RandomShiftSqrt drift has no attached path handle")
-        from . import noise
-
-        return noise.evaluate(self.path, t)[0]
-
-    def _value(self, t, x):
-        return np.sqrt(np.abs(x - self._shift(t)))
-
-
-@dataclass(frozen=True)
 class MollifiedDrift(Drift):
     """Fixed-node convolution of a base drift with the bump mollifier.
 
@@ -403,8 +334,8 @@ class MollifiedDrift(Drift):
     def __post_init__(self):
         if self.base is None:
             raise DriftError("mollified drift needs a base drift")
-        if self.eps <= 0:
-            raise DriftError("mollification radius must be positive")
+        if not 0 < self.eps < math.inf:
+            raise DriftError("mollification radius must be positive and finite")
         if self.quad_points < 8:
             raise DriftError("mollification needs at least 8 quadrature points")
         object.__setattr__(self, "dim", self.base.dim)
@@ -523,8 +454,6 @@ def drift_to_dict(spec: Drift) -> dict:
         return {"kind": "rotation2d", "omega": spec.omega}
     if isinstance(spec, LinearDrift):
         return {"kind": "linear", "matrix": np.asarray(spec.matrix).tolist()}
-    if isinstance(spec, RandomShiftSqrtDrift):
-        return {"kind": "random_shift_sqrt"}
     if isinstance(spec, MollifiedDrift):
         return {
             "kind": "mollified",
@@ -570,8 +499,6 @@ def _drift_of_kind(kind, data):
         return Rotation2DDrift(omega=float(data.get("omega", 1.0)))
     if kind == "linear":
         return LinearDrift(matrix=np.asarray(data["matrix"], dtype=float))
-    if kind == "random_shift_sqrt":
-        return RandomShiftSqrtDrift()  # path handle attached separately
     if kind == "mollified":
         return MollifiedDrift(
             base=drift_from_dict(data["base"]),

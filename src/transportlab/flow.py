@@ -262,7 +262,7 @@ def jacobian_fd(ens: FlowEnsemble, index, t):
     raise FlowError("jacobian_fd implemented for d in (1, 2)")
 
 
-def jacobian_logdiv(spec: Drift, times, states, dt, div_step=1e-5):
+def jacobian_logdiv(spec: Drift, times, states, dt):
     """log J phi_t(x) as the time integral of div b along marched trajectories.
 
     ``states`` (m+1, ..., d) holds the trajectories at ``times`` on a grid of
@@ -270,11 +270,9 @@ def jacobian_logdiv(spec: Drift, times, states, dt, div_step=1e-5):
     one value per trajectory (a float for a single one).
     """
     if spec.time_dependent:
-        vals = np.array(
-            [spec.divergence(tt, st, h=div_step) for tt, st in zip(times, states)]
-        )
+        vals = np.array([spec.divergence(tt, st) for tt, st in zip(times, states)])
     else:
-        vals = spec.divergence(0.0, states, h=div_step)
+        vals = spec.divergence(0.0, states)
     logj = _integrate_rows(np.moveaxis(vals, 0, -1), dt)
     return float(logj) if logj.ndim == 0 else logj
 
@@ -285,7 +283,7 @@ def _integrate_rows(vals, dx):
     return np.trapezoid(np.ascontiguousarray(vals), dx=dx, axis=-1)
 
 
-def log_jacobian_cumulative(spec: Drift, paths, xs, t, s=0.0, div_step=1e-5):
+def log_jacobian_cumulative(spec: Drift, paths, xs, t, s=0.0):
     """log J phi_.(x) on a 1-d grid along every path of ``paths``.
 
     Returns (times, logJ) with logJ[k, j, i] for time k, path j, point i.
@@ -298,7 +296,7 @@ def log_jacobian_cumulative(spec: Drift, paths, xs, t, s=0.0, div_step=1e-5):
     times = dt * np.arange(ks, kt + 1)
     vals = np.empty(states.shape[:-1])
     for k, tt in enumerate(times):
-        vals[k] = spec.divergence(tt, states[k], h=div_step)
+        vals[k] = spec.divergence(tt, states[k])
     out = np.zeros_like(vals)
     np.cumsum(0.5 * (vals[1:] + vals[:-1]) * dt, axis=0, out=out[1:])
     return times, out
@@ -358,18 +356,7 @@ def pathwise_uniqueness_probe(spec: Drift, paths, x0, delta_list, t):
     return UniquenessProbeReport(rows=rows, extremal_separation=extremal, time=t)
 
 
-def sobolev_jacobian_probe(
-    gammas,
-    eps_ladder,
-    paths,
-    r,
-    cap=2.0,
-    n_x=128,
-    t=0.5,
-    quad_points=32,
-    div_step=1e-5,
-    drift_factory=None,
-):
+def sobolev_jacobian_probe(gammas, eps_ladder, paths, r, cap=2.0, n_x=128, t=0.5, drift_factory=None):
     """Monte Carlo estimate of E int_0^T int_B(r) |D log J phi_t|^2 dx dt.
 
     One row per (gamma, eps); ``drift_factory(gamma, eps)`` defaults to the
@@ -390,8 +377,8 @@ def sobolev_jacobian_probe(
             if drift_factory is not None:
                 spec = drift_factory(gamma, eps)
             else:
-                spec = mollify_drift(base, eps, quad_points)
-            _, logj = log_jacobian_cumulative(spec, paths, xs, t, div_step=div_step)
+                spec = mollify_drift(base, eps)
+            _, logj = log_jacobian_cumulative(spec, paths, xs, t)
             dlog = (logj[..., 2:] - logj[..., :-2]) / (2.0 * h)
             space = _integrate_rows(dlog**2, h)  # (m+1, paths)
             acc = 0.0

@@ -194,10 +194,10 @@ class SmoothedPath:
         if self.n < 1:
             raise NoiseError("smoothing index n must be >= 1")
         u, w = _gauss_nodes(32)
-        kv = w * (bump_value(u) / _bump_mass(1))
+        kv = w * (bump_value(u) / _bump_mass())
         object.__setattr__(self, "_u", u)
         object.__setattr__(self, "_wval", kv / kv.sum())
-        kd = w * (bump_derivative(u) / _bump_mass(1))
+        kd = w * (bump_derivative(u) / _bump_mass())
         # enforce int u theta'(u) du = -1 discretely so d/dt of affine is exact
         scale = -float(np.sum(kd * u))
         object.__setattr__(self, "_wder", kd / scale)

@@ -54,7 +54,6 @@ class SpaceTimeField:
     xs: np.ndarray
     ts: np.ndarray
     values: np.ndarray          # (n_t + 1, n_x + 1)
-    bc: str = "neumann"
     notes: list = field(default_factory=list)
 
     def __post_init__(self):
@@ -111,7 +110,7 @@ class SpaceTimeField:
     def x_derivative(self):
         """Centered-difference derivative field (one-sided at the walls)."""
         d = np.gradient(self.values, self.xs, axis=1)
-        return SpaceTimeField(xs=self.xs, ts=self.ts, values=d, bc=self.bc)
+        return SpaceTimeField(xs=self.xs, ts=self.ts, values=d)
 
     def sup_norm(self):
         return float(np.max(np.abs(self.values)))
@@ -131,7 +130,7 @@ class SpaceTimeField:
                     "t_min": float(self.ts[0]),
                     "t_max": float(self.ts[-1]),
                     "n_t": len(self.ts) - 1,
-                    "bc": self.bc,
+                    "bc": "neumann",
                     "notes": list(self.notes),
                 },
                 sidecar,
@@ -255,25 +254,25 @@ def _static_problem(spec: Drift, f, L, n_x, T, n_t):
     return xs, dt, n_t, bands, fx
 
 
-def solve_backward_resolvent(spec: Drift, f, lam, L, n_x, T, n_t, horizon_pad=None, tol=1e-8):
+def solve_backward_resolvent(spec: Drift, f, lam, L, n_x, T, n_t, horizon_pad=None):
     """Backward march of d_t u + (Laplacian/2 + b.D) u - lam u = f on [0, T].
 
     ``spec`` must be time-independent and ``f(xs)`` is a bounded source on
     the grid; both are evaluated once per solve.  The march starts from
     T + pad with zero terminal guess.  If the supplied pad undercuts
-    ln(||f||_0 / tol) / lam, a residual warning is attached to the returned
+    ln(||f||_0 / 1e-8) / lam, a residual warning is attached to the returned
     field instead of failing.
     """
     if lam <= 0:
         raise ParabolicError("resolvent parameter lambda must be positive")
     xs, dt, n_t, bands, fx = _static_problem(spec, f, L, n_x, T, n_t)
     fmax = float(np.max(np.abs(fx)))
-    needed = math.log(max(fmax, tol) / tol) / lam
+    needed = math.log(max(fmax, 1e-8) / 1e-8) / lam
     pad = needed if horizon_pad is None else float(horizon_pad)
     notes = []
     if pad < needed - 1e-12:
         notes.append(
-            f"horizon_pad={pad:.4g} below ln(|f|/tol)/lambda={needed:.4g}; "
+            f"horizon_pad={pad:.4g} below ln(|f|/1e-8)/lambda={needed:.4g}; "
             f"terminal contamination ~{fmax * math.exp(-lam * pad) / lam:.3g}"
         )
     pad_steps = int(math.ceil(pad / dt)) if pad > 0 else 0
@@ -340,11 +339,7 @@ class ZvonkinTransform:
     psi: SpaceTimeField
     lam: float
     grad_sup: float
-    dpsi: SpaceTimeField = None
-
-    def __post_init__(self):
-        if self.dpsi is None:
-            self.dpsi = self.psi.x_derivative()
+    dpsi: SpaceTimeField
 
     def forward(self, t, x):
         x = np.asarray(x, dtype=float)
@@ -367,9 +362,7 @@ class ZvonkinTransform:
         return 1.0 + self.dpsi.interpolate(t, self.inverse(t, y))
 
 
-def build_zvonkin_transform(
-    spec: Drift, lam, L, n_x, T, n_t, horizon_pad=None, tol=1e-8
-):
+def build_zvonkin_transform(spec: Drift, lam, L, n_x, T, n_t, horizon_pad=None):
     """Solve the resolvent system with f = -b and wrap it as a transform.
 
     Refuses when the measured sup|D psi| reaches 1 (the map would stop being
@@ -377,9 +370,7 @@ def build_zvonkin_transform(
     lambda^{-1/2} envelope.
     """
     f = lambda xs: -_drift_slice(spec, 0.0, xs)
-    psi = solve_backward_resolvent(
-        spec, f, lam, L, n_x, T, n_t, horizon_pad=horizon_pad, tol=tol
-    )
+    psi = solve_backward_resolvent(spec, f, lam, L, n_x, T, n_t, horizon_pad=horizon_pad)
     dpsi = psi.x_derivative()
     grad_sup = dpsi.sup_norm()
     if grad_sup >= 1.0:
@@ -391,7 +382,7 @@ def build_zvonkin_transform(
     return ZvonkinTransform(psi=psi, lam=float(lam), grad_sup=float(grad_sup), dpsi=dpsi)
 
 
-def grad_decay_study(spec: Drift, lambda_list, L, n_x, T, n_t, horizon_pad=None, tol=1e-8):
+def grad_decay_study(spec: Drift, lambda_list, L, n_x, T, n_t, horizon_pad=None):
     """sup|D psi_lambda| along an increasing lambda ladder plus fitted slope."""
     lams = list(lambda_list)
     if len(lams) < 4 or any(b <= a for a, b in zip(lams, lams[1:])):
@@ -399,9 +390,7 @@ def grad_decay_study(spec: Drift, lambda_list, L, n_x, T, n_t, horizon_pad=None,
     f = lambda xs: -_drift_slice(spec, 0.0, xs)
     rows = []
     for lam in lams:
-        psi = solve_backward_resolvent(
-            spec, f, lam, L, n_x, T, n_t, horizon_pad=horizon_pad, tol=tol
-        )
+        psi = solve_backward_resolvent(spec, f, lam, L, n_x, T, n_t, horizon_pad=horizon_pad)
         rows.append({"lambda": float(lam), "grad_sup": psi.x_derivative().sup_norm()})
     sups = np.array([r["grad_sup"] for r in rows])
     if np.all(sups == 0.0):
@@ -441,21 +430,20 @@ def integrate_conjugated(transform: ZvonkinTransform, path, x0, s=0.0, t=None):
 # the auxiliary-function identity for time averages along the diffusion
 
 
-def ito_tanaka_check(spec: Drift, f, paths, x0, L, n_x, n_t, t=None, F=None, DF=None):
+def ito_tanaka_check(spec: Drift, f, paths, x0, L, n_x, n_t, t=None):
     """Residual of int_0^t f(X_s) ds = F(t, X_t) - F(0, x) - int DF . dW.
 
     F solves the terminal-value problem with l = b on the same horizon, for a
     time-independent ``spec`` and a source ``f(xs)`` taking any shape; the
     left side uses trapezoid quadrature along the trajectory and the Ito
     integral uses left-point sums of the interpolated DF.  All paths of
-    ``paths`` are marched at once and share one (F, DF) pair, which may be
-    passed in precomputed.  Returns one report per path, in path order.
+    ``paths`` are marched at once and share one (F, DF) pair.  Returns one
+    report per path, in path order.
     """
     inc = _noise.stacked_increments(paths)
     if t is None:
         t = paths[0].T
-    if F is None:
-        F = solve_terminal_value(spec, f, L, n_x, n_t, T=t)
+    F = solve_terminal_value(spec, f, L, n_x, n_t, T=t)
     kt = paths[0].index_of(t, "t")
     dt = paths[0].dt
     inc = inc[:kt, :, 0]
@@ -468,9 +456,7 @@ def ito_tanaka_check(spec: Drift, f, paths, x0, L, n_x, n_t, t=None, F=None, DF=
         raise ParabolicError(f"trajectory exits [-{L}, {L}] at t={times[k]:.6g}; enlarge L")
     fvals = np.asarray(f(xs), dtype=float)
     lhs = _flow._integrate_rows(fvals.T, dt)
-    if DF is None:
-        DF = F.x_derivative()
-    dfvals = DF.interpolate_pairs(times[:-1, None], xs[:-1])
+    dfvals = F.x_derivative().interpolate_pairs(times[:-1, None], xs[:-1])
     # per-path sums run along contiguous rows, in a single path's order
     ito = np.sum(np.ascontiguousarray((dfvals * inc).T), axis=-1)
     rhs = F.interpolate(t, xs[-1]) - F.interpolate(0.0, x0) - ito

@@ -285,23 +285,22 @@ class CharacteristicsSolution:
 
     The solution the paper proves unique under noise; the noisy branch of
     ``uniqueness_gap_experiment`` holds it to the weak form.  The ensemble is
-    built once on construction over ``x_span``; jump points of u0 are
-    integrated alongside so their images (the moving discontinuities) are
-    known at every stored time.
+    built once on construction over ``x_span``, up to the path's end; jump
+    points of u0 are integrated alongside so their images (the moving
+    discontinuities) are known at every stored time.
     """
 
-    def __init__(self, spec, path, u0, x_span, n_grid=513, t_max=None):
+    def __init__(self, spec, path, u0, x_span, n_grid=513):
         self.spec = spec
         self.path = path
         self.u0 = u0
-        t_max = path.T if t_max is None else t_max
         grid = np.linspace(x_span[0], x_span[1], int(n_grid))
         jumps = list(getattr(u0, "discontinuities", ()))
-        self.ens = _flow.forward_flow(spec, path, grid, 0.0, [t_max])
+        self.ens = _flow.forward_flow(spec, path, grid, 0.0, [path.T])
         if jumps:
             jstates = _flow.march(
                 spec, path.increments, np.asarray(jumps, dtype=float)[:, None],
-                path.dt, 0, path.index_of(t_max, "t"), record=True,
+                path.dt, 0, path.n_steps, record=True,
             )
             self._jumps = jstates[:, :, 0]
         else:
@@ -645,14 +644,14 @@ class CommutatorReport:
             raise TransportError("commutator values must be finite")
 
 
-def commutator_ladder(v, g, rho, eps_ladder, n_outer=256, inner_cells=24, t=0.0):
+def commutator_ladder(v, g, rho, eps_ladder, n_outer=256, inner_cells=24):
     """Evaluate the commutator along an eps ladder and fit its decay rate."""
     if len(eps_ladder) < 2:
         raise TransportError(
             f"a decay rate needs an eps ladder of 2 or more entries, got {len(eps_ladder)}"
         )
     values = tuple(
-        commutator(v, g, e, rho, n_outer=n_outer, inner_cells=inner_cells, t=t)
+        commutator(v, g, e, rho, n_outer=n_outer, inner_cells=inner_cells)
         for e in eps_ladder
     )
     exponent = float(
@@ -663,8 +662,8 @@ def commutator_ladder(v, g, rho, eps_ladder, n_outer=256, inner_cells=24, t=0.0)
     )
 
 
-def commutator(v: Drift, g, eps, rho, n_outer=256, inner_cells=24, t=0.0):
-    """int R_eps[v, g](x) rho(x) dx for drift-like v and bounded g.
+def commutator(v: Drift, g, eps, rho, n_outer=256, inner_cells=24):
+    """int R_eps[v, g](x) rho(x) dx for drift-like v and bounded g, at time 0.
 
     Uses the integrated-by-parts double-integral form: difference terms in v
     keep the size O(eps^alpha), and the div v parts enter as Stieltjes sums
@@ -672,7 +671,7 @@ def commutator(v: Drift, g, eps, rho, n_outer=256, inner_cells=24, t=0.0):
     """
     return _commutator_core(
         v, g, eps, lo=rho.center - rho.radius, hi=rho.center + rho.radius, weight=rho.value,
-        dweight=rho.grad, n_outer=n_outer, inner_cells=inner_cells, t=t,
+        dweight=rho.grad, n_outer=n_outer, inner_cells=inner_cells, t=0.0,
     )
 
 
@@ -684,7 +683,7 @@ def _commutator_core(v, g, eps, lo, hi, weight, dweight, n_outer, inner_cells, t
     for name, n in (("inner_cells", inner_cells), ("n_outer", n_outer)):
         if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
             raise TransportError(f"{name}={n!r}: the quadrature needs an integer number of cells >= 1")
-    kern = Mollifier(eps=float(eps), dim=1).kernel
+    kern = Mollifier(eps=float(eps)).kernel
     g_splits = tuple(getattr(g, "discontinuities", ()))
     v_splits = _sharp_points(v)
     gv = lambda x: np.asarray(g(x), dtype=float) * v.value(t, x[..., None])[..., 0]
@@ -765,7 +764,6 @@ def uniqueness_gap_experiment(
     n_x=512,
     n_s=256,
     a_values=(0.0, 0.5, 1.0),
-    theta=None,
 ):
     """Deterministic non-uniqueness vs noisy uniqueness, as residuals.
 
@@ -776,8 +774,7 @@ def uniqueness_gap_experiment(
     itself (uniqueness is restored by noise); no stock experiment runs it.
     """
     spec = HolderPowerDrift(gamma=gamma, cap=cap, signed=True)
-    if theta is None:
-        theta = TestFunction(center=0.0, radius=2.0)
+    theta = TestFunction(center=0.0, radius=2.0)
     out = {"gamma": gamma, "noise_on": bool(noise_on)}
     if not noise_on:
         zero = _noise.zero_path(1, t, t / n_s)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from transportlab import drift as dr
-from transportlab import noise as nz
+from transportlab import harness
 from transportlab import parabolic as pa
 
 
@@ -35,13 +35,23 @@ def test_divergences_analytic():
 
 def test_divergence_error_modes():
     b = dr.HolderPowerDrift(gamma=0.5, cap=2.0)
-    with pytest.raises(dr.DriftError):
-        b.divergence(0.0, [1.0], h=0.0)
-    with pytest.raises(dr.DriftError):
-        b.divergence(0.0, [0.0], mode="analytic")
-    # the centered stencil stays finite at the singularity
-    v = b.divergence(0.0, [0.0], h=1e-4, mode="fd")
+    # the centered-difference fallback stays finite at the singularity
+    v = b.divergence(0.0, [0.0])
     assert np.isfinite(v) and v > 0
+
+
+@pytest.mark.parametrize("signed", [True, False])
+def test_holder_power_divergence_falls_back_to_centered_difference_bitwise(signed):
+    b = dr.HolderPowerDrift(gamma=0.5, cap=2.0, signed=signed)
+    x = np.array([[0.0], [-0.0], [0.7], [2.0], [-2.0], [-0.3], [5.0], [-2.5]])
+    sharp = np.array([True, True, False, True, True, False, False, False])
+    h = 1e-5
+    fd = (b.value(0.0, x + h)[:, 0] - b.value(0.0, x - h)[:, 0]) / (2.0 * h)
+    ana = b.divergence_analytic(0.0, x)
+    assert np.array_equal(np.isnan(ana), sharp)
+    assert b.divergence(0.0, x).tobytes() == np.where(sharp, fd, ana).tobytes()
+    assert b.divergence(0.0, x[sharp]).tobytes() == fd[sharp].tobytes()
+    assert b.divergence(0.0, x[~sharp]).tobytes() == ana[~sharp].tobytes()
 
 
 def test_mollify_trivial_cases():
@@ -128,30 +138,26 @@ def test_dimension_mismatch_raises():
         dr.ZeroDrift().value(0.0, np.array([np.inf]))
 
 
-def test_random_shift_requires_path():
-    rs = dr.RandomShiftSqrtDrift()
-    with pytest.raises(dr.DriftError):
-        rs.value(0.1, [0.5])
-    from transportlab import noise as nz
-
-    p = nz.sample_brownian(1, 0, 1, 1.0, 1 / 64)
-    attached = rs.attach(p)
-    w = nz.evaluate(p, 0.5)[0]
-    assert attached.value(0.5, [0.5])[0] == pytest.approx(np.sqrt(abs(0.5 - w)))
-    with pytest.raises(Exception):
-        attached.value(2.0, [0.5])  # outside the attached path's range
-
-
 def test_mollifier_normalization_and_support():
-    moll = dr.Mollifier(eps=0.2, dim=1)
+    moll = dr.Mollifier(eps=0.2)
     xs = np.linspace(-0.25, 0.25, 20001)
     total = np.trapezoid(moll.kernel(xs), xs)
     assert total == pytest.approx(1.0, abs=1e-8)
     assert np.all(moll.kernel(np.array([0.21, -0.3])) == 0.0)
     assert moll.kernel(0.13) == moll.kernel(-0.13)
-    offsets, weights = moll.nodes()
+    offsets, weights = dr.mollify_drift(dr.ZeroDrift(), 0.2)._nodes()
     assert weights.sum() == pytest.approx(1.0, abs=1e-14)
     assert np.max(np.abs(offsets)) < 0.2
+
+
+@pytest.mark.parametrize("eps", [0.2, 0.0125, 1.0, 3.0])
+def test_mollifier_kernel_matches_previous_formula_bitwise(eps):
+    u, w = np.polynomial.legendre.leggauss(200)
+    mass = float(np.sum(w * dr.bump_value(u)))
+    x = np.concatenate([[0.0, -0.0, eps, -eps, np.inf, -np.inf], np.linspace(-1.5 * eps, 1.5 * eps, 4002)])
+    want = dr.bump_value(np.abs(x) / eps) / (mass * eps**1)
+    assert dr.Mollifier(eps).kernel(x).tobytes() == want.tobytes()
+    assert dr.Mollifier(eps).kernel(x.reshape(2, -1)).tobytes() == want.tobytes()
 
 
 def _bump_masked(u):
@@ -191,7 +197,6 @@ def test_bump_value_matches_masked_formula_bitwise(u):
         dr.Rotation2DDrift(omega=0.4),
         dr.LinearDrift(matrix=[[1.0, 0.5], [0.0, -2.0]]),
         dr.MollifiedDrift(base=dr.HolderPowerDrift(gamma=0.5, cap=2.0), eps=0.05, quad_points=16),
-        dr.RandomShiftSqrtDrift(),
     ],
 )
 def test_json_roundtrip(spec):
@@ -236,6 +241,27 @@ def test_malformed_drift_json_is_a_drift_error(text, match):
         dr.drift_from_json(text)
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"kind": "mollified", "eps": NaN, "base": {"kind": "zero"}}',
+        '{"kind": "mollified", "eps": Infinity, "base": {"kind": "zero"}}',
+        '{"kind": "rotation2d", "omega": NaN}',
+        '{"kind": "rotation2d", "omega": -Infinity}',
+        '{"kind": "zero", "dim": 0}',
+        '{"kind": "zero", "dim": -2}',
+        '{"kind": "holder_power", "gamma": 0.5, "cap": Infinity}',
+    ],
+    ids=["eps-nan", "eps-inf", "omega-nan", "omega-inf", "dim-0", "dim-negative", "cap-inf"],
+)
+def test_non_finite_or_out_of_range_drift_json_is_refused(text):
+    with pytest.raises(dr.DriftError, match="finite|dim >= 1"):
+        dr.drift_from_json(text)
+    # so `lab run --set drift=...` is a usage error
+    with pytest.raises(harness.ConfigError, match="^drift: "):
+        harness.load_config("mean-pde-mc", overrides=[f"drift={text}"])
+
+
 def test_eval_drift_thread_safe():
     # values may be shared and evaluated concurrently without synchronization
     from concurrent.futures import ThreadPoolExecutor
@@ -264,12 +290,6 @@ def test_array_backed_drifts_compare_by_value():
     assert hash(dr.LinearDrift([[0.0]])) == hash(dr.LinearDrift([[-0.0]]))
     assert len({dr.LinearDrift(A), dr.LinearDrift(A.copy()), dr.LinearDrift(A.T)}) == 2
     assert dr.mollify_drift(dr.LinearDrift(A), 0.1) == dr.mollify_drift(dr.LinearDrift(A.copy()), 0.1)
-
-    p, q = (nz.sample_brownian(1, 0, 1, 1.0, 2**-4) for _ in range(2))
-    other = nz.sample_brownian(1, 1, 1, 1.0, 2**-4)
-    assert dr.RandomShiftSqrtDrift(path=p) == dr.RandomShiftSqrtDrift(path=q)
-    assert hash(dr.RandomShiftSqrtDrift(path=p)) == hash(dr.RandomShiftSqrtDrift(path=q))
-    assert dr.RandomShiftSqrtDrift(path=p) != dr.RandomShiftSqrtDrift(path=other)
 
     def field(values):
         return pa.SpaceTimeField(xs=np.linspace(-1, 1, 3), ts=np.array([0.0, 1.0]), values=values)
@@ -431,7 +451,7 @@ def test_mollified_2d_divergence_checks_points_once(monkeypatch, base):
     offsets, weights = m._nodes()
     ref = None
     for off, w in zip(offsets, weights):
-        term = w * base.divergence(0.0, x - off, mode="auto")
+        term = w * base.divergence(0.0, x - off)
         ref = term if ref is None else ref + term
     checks = []
     check_point = dr.Drift._check_point

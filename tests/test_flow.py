@@ -549,18 +549,18 @@ def test_sobolev_probe_needs_two_cells(path, n_x):
         fl.sobolev_jacobian_probe([0.5], [0.1], [path], 1.0, n_x=n_x, t=0.5)
 
 
-def _logdiv_oracle(spec, path, x, t, div_step=1e-5):
+def _logdiv_oracle(spec, path, x, t):
     states = _euler_many_oracle(spec, path.increments, [[x]], path.dt, 0, path.index_of(t))
-    vals = spec.divergence(0.0, states[:, 0], h=div_step)
+    vals = spec.divergence(0.0, states[:, 0])
     return float(np.trapezoid(vals, dx=path.dt))
 
 
-def _log_jacobian_cumulative_oracle(spec, path, xs, t, div_step=1e-5):
+def _log_jacobian_cumulative_oracle(spec, path, xs, t):
     states = _euler_many_oracle(spec, path.increments, xs[:, None], path.dt, 0, path.index_of(t))
     times = path.dt * np.arange(len(states))
     vals = np.empty((len(times), len(xs)))
     for k, tt in enumerate(times):
-        vals[k] = spec.divergence(tt, states[k], h=div_step)
+        vals[k] = spec.divergence(tt, states[k])
     out = np.zeros_like(vals)
     np.cumsum(0.5 * (vals[1:] + vals[:-1]) * path.dt, axis=0, out=out[1:])
     return out

@@ -285,6 +285,33 @@ def test_cli_bad_config_value_is_a_usage_error(tmp_path, experiment, override, k
     assert not (tmp_path / "runs").exists()
 
 
+def test_cli_refuses_random_shift_sqrt_kind(tmp_path):
+    out = _run_cli(
+        ["run", "mean-pde-mc", "--out", str(tmp_path / "runs"), "--set", 'drift={"kind":"random_shift_sqrt"}'],
+        tmp_path,
+    )
+    assert out.returncode == 2
+    assert "Traceback" not in out.stderr
+    assert "lab: error: drift: unknown drift kind: 'random_shift_sqrt'" in out.stderr
+
+
+@pytest.mark.parametrize(
+    "report, series, message",
+    [("report.json", "nosuch", "unknown series 'nosuch'; report has: a-vs-b"), ("missing.json", "a-vs-b", "missing.json")],
+    ids=["unknown-series", "missing-report"],
+)
+def test_cli_plotdata_bad_input_is_a_usage_error(tmp_path, report, series, message):
+    (tmp_path / "report.json").write_text(json.dumps({"series": {"a-vs-b": [[1.0, 2.0]]}}))
+    out = _run_cli(["plotdata", str(tmp_path / report), series, "--out", str(tmp_path / "xy.csv")], tmp_path)
+    assert out.returncode == 2
+    assert "Traceback" not in out.stderr
+    assert "lab: error: " in out.stderr and message in out.stderr
+    assert not (tmp_path / "xy.csv").exists()
+    ok = _run_cli(["plotdata", str(tmp_path / "report.json"), "a-vs-b", "--out", str(tmp_path / "xy.csv")], tmp_path)
+    assert ok.returncode == 0, ok.stderr
+    assert (tmp_path / "xy.csv").read_text() == "x,y\n1,2\n"
+
+
 def test_row_pass_flag_consistency():
     row = ReportRow(name="x", params={}, measured=0.1, expected="0", tolerance="<1", passed=True)
     rep = ExperimentReport(experiment="e", config={}, rows=[row])

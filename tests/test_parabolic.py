@@ -453,7 +453,7 @@ def test_solvers_raise_parabolic_errors():
 
 def test_backward_solvers_refuse_time_dependent_drift():
     fld = pb.SpaceTimeField(xs=np.linspace(-1, 1, 3), ts=np.array([0.0, 1.0]), values=np.zeros((2, 3)))
-    for spec in (dr.GridSampledDrift(field=fld), dr.mollify_drift(dr.RandomShiftSqrtDrift(), 0.1)):
+    for spec in (dr.GridSampledDrift(field=fld), dr.mollify_drift(dr.GridSampledDrift(field=fld), 0.1)):
         with pytest.raises(pb.ParabolicError, match="time-independent"):
             pb.solve_backward_resolvent(spec, const_f(1.0), 4.0, L=2.0, n_x=16, T=0.5, n_t=8)
         with pytest.raises(pb.ParabolicError, match="time-independent"):

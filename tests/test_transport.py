@@ -613,7 +613,7 @@ def _inside(points, eps, splits):
 
 def test_convolve_blocks_match_per_window_bitwise():
     eps, g = 0.125, tp.StepDatum(0.0)
-    kern = dr.Mollifier(eps=eps, dim=1).kernel
+    kern = dr.Mollifier(eps=eps).kernel
     # window edges exactly on the split point count as windows without a jump
     on_split = np.array([eps, -eps])
     assert on_split[0] - eps == 0.0 and on_split[1] + eps == 0.0
@@ -640,7 +640,7 @@ def test_convolve_blocks_match_per_window_bitwise():
     ],
 )
 def test_convolve_split_groups_match_per_window_bitwise(eps, inner_cells, points, splits, case):
-    kern = dr.Mollifier(eps=eps, dim=1).kernel
+    kern = dr.Mollifier(eps=eps).kernel
     g = lambda x: np.sin(3.0 * np.asarray(x, dtype=float)) + (np.asarray(x) > 0.0)
     inside = _inside(points, eps, splits)
     if case == "wide":
@@ -672,7 +672,7 @@ _POWER = dr.HolderPowerDrift(gamma=0.5, cap=2.0)
 )
 def test_convolve_zero_rows_match_per_window_bitwise(case, points, fn):
     eps = 0.125
-    kern = dr.Mollifier(eps=eps, dim=1).kernel
+    kern = dr.Mollifier(eps=eps).kernel
     rows = []
     counting = lambda r: rows.append(len(r)) or kern(r)
     got = tp._convolve_at(points, fn, eps, counting, 24, (0.0,))
@@ -694,7 +694,7 @@ def test_convolve_edges_are_linspace_bitwise(monkeypatch, inner_cells):
     seen = []
     gauss = tp._gauss_nodes_weights
     monkeypatch.setattr(tp, "_gauss_nodes_weights", lambda e: seen.append(e) or gauss(e))
-    tp._convolve_at(points, np.cos, eps, dr.Mollifier(eps=eps, dim=1).kernel, inner_cells, ())
+    tp._convolve_at(points, np.cos, eps, dr.Mollifier(eps=eps).kernel, inner_cells, ())
     assert len(seen) == 2 and all(e.flags.c_contiguous for e in seen)
     want = np.linspace(points - eps, points + eps, inner_cells + 1, axis=-1)
     assert np.concatenate(seen).tobytes() == np.ascontiguousarray(want).tobytes()
