@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field, fields
-from functools import cache
+from functools import cache, lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -75,11 +76,6 @@ def bump_derivative(u):
     return out
 
 
-def _gauss_nodes(n):
-    x, w = leggauss(int(n))
-    return x, w
-
-
 @dataclass(frozen=True)
 class Mollifier:
     """Normalized 1-d bump kernel of radius ``eps``: exp(-1/(1-x^2)) on
@@ -88,8 +84,8 @@ class Mollifier:
     eps: float
 
     def __post_init__(self):
-        if self.eps <= 0:
-            raise DriftError("mollifier radius must be positive")
+        if not 0 < self.eps < math.inf:
+            raise DriftError(f"mollifier radius must be positive and finite, got {self.eps}")
 
     def kernel(self, x):
         """Kernel value theta_eps(x) at points x of any shape."""
@@ -100,57 +96,185 @@ class Mollifier:
 @cache
 def _bump_mass():
     """Integral of the unnormalized bump over R."""
-    u, w = _gauss_nodes(200)
+    u, w = leggauss(200)
     return float(np.sum(w * bump_value(u)))
 
 
 # element budget of one grouped base call of a mollified drift (see _fan_out)
 _GROUP_ELEMENTS = 16384
-_NODE_CACHE: dict[tuple, tuple] = {}
-_STIELTJES_CACHE: dict[tuple, tuple] = {}
+# Gauss nodes per axis of the fixed-node rule, and cells of the 1-d Stieltjes
+# divergence, for the bases that have no table (see MollifiedDrift)
+_MOLLIFIER_NODES = 32
+_STIELTJES_CELLS = 64
 
 
-def _stieltjes_kernel(eps, cells):
+@cache
+def _stieltjes_kernel(eps):
     """Cell edges on [-eps, eps] and normalized kernel values at midpoints.
 
     Supports the Stieltjes convolution sum_j theta_eps(mid_j) (b(x+e_{j+1}) -
     b(x+e_j)); weights are scaled so a linear b yields its exact slope.
     """
-    key = (float(eps), int(cells))
-    if key not in _STIELTJES_CACHE:
-        m = int(cells) + int(cells) % 2
-        edges = np.linspace(-eps, eps, m + 1)
-        mids = 0.5 * (edges[:-1] + edges[1:])
-        k = bump_value(mids / eps)
-        k = k / np.sum(k * np.diff(edges))
-        _STIELTJES_CACHE[key] = (edges, k)
-    return _STIELTJES_CACHE[key]
+    edges = np.linspace(-eps, eps, _STIELTJES_CELLS + 1)
+    mids = 0.5 * (edges[:-1] + edges[1:])
+    k = bump_value(mids / eps)
+    return edges, k / np.sum(k * np.diff(edges))
 
 
-def _mollifier_nodes(eps, dim, quad_points):
-    key = (float(eps), int(dim), int(quad_points))
-    if key not in _NODE_CACHE:
-        n = int(quad_points)
-        if n % 2:
-            n += 1  # even count keeps all nodes off the kernel's center
-        u, w = _gauss_nodes(n)
-        if dim == 1:
-            y = eps * u
-            raw = w * bump_value(u)
-            offsets = y.reshape(-1, 1)
-        elif dim == 2:
-            uu, vv = np.meshgrid(u, u, indexing="ij")
-            ww = np.outer(w, w)
-            rr = np.sqrt(uu**2 + vv**2)
-            raw = (ww * bump_value(rr)).ravel()
-            offsets = eps * np.stack([uu.ravel(), vv.ravel()], axis=-1)
-            keep = raw > 0.0
-            raw, offsets = raw[keep], offsets[keep]
-        else:
-            raise DriftError(f"mollifier not implemented for dim={dim}")
-        weights = raw / raw.sum()
-        _NODE_CACHE[key] = (offsets, weights)
-    return _NODE_CACHE[key]
+@cache
+def _mollifier_nodes(eps, dim):
+    u, w = leggauss(_MOLLIFIER_NODES)  # an even count keeps every node off the kernel's center
+    if dim == 1:
+        raw = w * bump_value(u)
+        offsets = (eps * u).reshape(-1, 1)
+    elif dim == 2:
+        uu, vv = np.meshgrid(u, u, indexing="ij")
+        ww = np.outer(w, w)
+        rr = np.sqrt(uu**2 + vv**2)
+        raw = (ww * bump_value(rr)).ravel()
+        offsets = eps * np.stack([uu.ravel(), vv.ravel()], axis=-1)
+        keep = raw > 0.0
+        raw, offsets = raw[keep], offsets[keep]
+    else:
+        raise DriftError(f"mollifier not implemented for dim={dim}")
+    return offsets, raw / raw.sum()
+
+
+# ---------------------------------------------------------------------------
+# split-cell quadrature: cells split at the integrand's jumps, 2-pt Gauss per
+# cell.  The mollified power law's table and the transport commutators share it.
+
+_GAUSS_OFF = 1.0 / math.sqrt(3.0)
+
+
+def _edges(lo, hi, n_cells, splits=()):
+    base = np.linspace(lo, hi, int(n_cells) + 1)
+    extra = [s for s in splits if lo < s < hi]
+    if extra:
+        base = np.unique(np.concatenate([base, np.asarray(extra, dtype=float)]))
+    return base
+
+
+def _gauss_nodes_weights(edges):
+    """Gauss nodes and weights of the cells along the last axis of ``edges``."""
+    mid = 0.5 * (edges[..., :-1] + edges[..., 1:])
+    half = 0.5 * (edges[..., 1:] - edges[..., :-1])
+    nodes = np.concatenate([mid - half * _GAUSS_OFF, mid + half * _GAUSS_OFF], axis=-1)
+    weights = np.concatenate([half, half], axis=-1)
+    return nodes, weights
+
+
+# windows per block in _convolve_at: bounds the (windows, nodes) temporaries
+_CONV_BLOCK = 256
+
+
+def _convolve_at(points, fn, eps, kernel, inner_cells, splits):
+    """(theta_eps * fn)(p) for each p, cells split at the jump locations.
+
+    Windows [p - eps, p + eps] are grouped by how many distinct splits lie
+    strictly inside them (none for most) and evaluated _CONV_BLOCK at a time
+    as one C-ordered (windows, nodes) array: the linspace edges with the
+    window's splits sorted in.  Each row gets the edges, node values and
+    pairwise row sum of a single-window evaluation, so the result is bit for
+    bit the per-window sum.  A split on a linspace edge doubles that edge,
+    which ``_edges`` drops: only such windows are redone one at a time.  A
+    row whose values are all signed zeros skips the kernel: w theta_eps is
+    finite and >= +0, so each product there is the value itself.
+    """
+    points = np.asarray(points, dtype=float)
+    lo, hi = points - eps, points + eps
+    cuts = np.unique(np.asarray(splits, dtype=float))
+    first = np.searchsorted(cuts, lo, side="right")  # the splits inside are cuts[first:first + count]
+    count = np.maximum(np.searchsorted(cuts, hi, side="left") - first, 0)
+    out = np.empty(len(points))
+
+    def rows(idx, edges):
+        nodes, w = _gauss_nodes_weights(edges)
+        vals = fn(nodes.ravel()).reshape(nodes.shape)
+        zero = ~np.any(vals, axis=-1)
+        if zero.any():
+            out[idx[zero]] = vals[zero].sum(axis=-1)
+            idx, nodes, w, vals = idx[~zero], nodes[~zero], w[~zero], vals[~zero]
+        if len(idx):
+            out[idx] = np.sum(w * kernel(points[idx, None] - nodes) * vals, axis=-1)
+
+    for k in np.unique(count):
+        members = np.flatnonzero(count == k)
+        for start in range(0, len(members), _CONV_BLOCK):
+            idx = members[start:start + _CONV_BLOCK]
+            # np.linspace's own arithmetic, built C-ordered: strided rows would sum in another order
+            edges = np.arange(inner_cells + 1) * ((hi[idx] - lo[idx]) / inner_cells)[:, None]
+            edges += lo[idx, None]
+            edges[:, -1] = hi[idx]
+            if k:
+                edges = np.sort(np.concatenate([edges, cuts[first[idx, None] + np.arange(k)]], axis=-1))
+            rows(idx, edges)
+            for i in idx[np.any(edges[:, 1:] == edges[:, :-1], axis=-1)] if k else ():
+                rows(np.array([i]), _edges(lo[i], hi[i], inner_cells, splits)[None])
+    return out
+
+
+# A mollified power law is a cubic Hermite table of b^eps = theta_eps * b with
+# nodes eps / _TABLE_CELLS_PER_EPS apart, each a _convolve_at window of
+# _TABLE_INNER_CELLS cells; the convergence study in CHANGES.md chose both.
+_TABLE_CELLS_PER_EPS = 16
+_TABLE_INNER_CELLS = 64
+_TABLE_MAX_CELLS = 2**17  # on the half line: a build of seconds, 15 MB of table
+
+
+def _table_cells(cap, eps):
+    return math.ceil((cap + eps) * _TABLE_CELLS_PER_EPS / eps)
+
+
+@lru_cache(maxsize=16)
+def _power_table(base, eps):
+    """(offset, 1/step, top, values, slopes) of b^eps's table for a power law b.
+
+    x lies u = x/step + offset cells into the table, u clipped to [0, top]; row
+    k of ``values`` (``slopes``) is cell k's cubic (its derivative) in u - k,
+    highest power first.  Nodes span [-(cap + eps), cap + eps] and one step
+    beyond, where b^eps is exactly b(+-cap): each outer cell is that constant,
+    so the clip is the exact clamp.  Values and slopes come from theta_eps and
+    theta_eps' on x >= 0, cells split at 0 and +-cap, mirrored by b's parity.
+    """
+    half = base.cap + eps
+    n = _table_cells(base.cap, eps)
+    step = half / n
+    r = np.linspace(0.0, half, n + 1)
+    b = lambda y: base._value(0.0, y[:, None])[:, 0]
+    slope_scale = _bump_mass() * eps * eps
+    splits = (-base.cap, 0.0, base.cap)
+    v = _convolve_at(r, b, eps, Mollifier(eps).kernel, _TABLE_INNER_CELLS, splits)
+    d = _convolve_at(r, b, eps, lambda u: bump_derivative(u / eps) / slope_scale, _TABLE_INNER_CELLS, splits)
+    # exact where the constant tail and the parity say so
+    v[-1], d[-1] = b(r[-1:])[0], 0.0
+    (v if base.signed else d)[0] = 0.0
+    s = -1.0 if base.signed else 1.0  # b^eps(-x) = s b^eps(x)
+    p = np.concatenate([[s * v[-1]], s * v[:0:-1], v, [v[-1]]])
+    m = np.concatenate([[0.0], -s * d[:0:-1], d, [0.0]])
+    p0, p1, m0, m1 = p[:-1], p[1:], step * m[:-1], step * m[1:]
+    c3, c2 = 2.0 * (p0 - p1) + m0 + m1, 3.0 * (p1 - p0) - 2.0 * m0 - m1
+    values = np.stack([c3, c2, m0, p0], axis=-1)
+    slopes = np.stack([3.0 * c3 / step, 2.0 * c2 / step, m[:-1]], axis=-1)
+    return n + 1.0, 1.0 / step, np.nextafter(len(p0), 0.0), values, slopes
+
+
+def _hermite(table, x, slope=False):
+    """The table's cubic at points x (..., 1), or with ``slope`` its derivative."""
+    offset, inv_step, top, values, slopes = table
+    u = np.multiply(x, inv_step)
+    u += offset
+    np.maximum(u, 0.0, out=u)
+    np.minimum(u, top, out=u)
+    cell = u.astype(np.intp)
+    u -= cell
+    rows = (slopes if slope else values).take(cell, axis=0)  # (..., 1, powers)
+    out = rows[..., 0] * u
+    for k in range(1, rows.shape[-1] - 1):
+        out += rows[..., k]
+        out *= u
+    out += rows[..., -1]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -320,29 +444,31 @@ class LinearDrift(Drift):
 
 @dataclass(frozen=True)
 class MollifiedDrift(Drift):
-    """Fixed-node convolution of a base drift with the bump mollifier.
+    """Convolution b^eps = theta_eps * b of a base drift with the bump mollifier.
 
-    ``value`` and ``divergence`` commute with the discrete convolution: the
-    reported divergence is the exact derivative of the discretely mollified
-    field wherever the base divergence exists at the shifted nodes.
+    A power-law base is read from its converged Hermite table (_power_table),
+    whose derivative is the divergence.  Other bases use a fixed-node rule:
+    ``value`` and ``divergence`` commute with the discrete convolution, so the
+    divergence is the exact derivative of the discretely mollified field
+    wherever the base divergence exists at the shifted nodes.
     """
 
     base: Drift = None
     eps: float = 0.1
-    quad_points: int = 32
 
     def __post_init__(self):
         if self.base is None:
             raise DriftError("mollified drift needs a base drift")
         if not 0 < self.eps < math.inf:
             raise DriftError("mollification radius must be positive and finite")
-        if self.quad_points < 8:
-            raise DriftError("mollification needs at least 8 quadrature points")
+        if isinstance(self.base, HolderPowerDrift) and _table_cells(self.base.cap, self.eps) > _TABLE_MAX_CELLS:
+            raise DriftError(f"mollification radius {self.eps} is too small for the cap {self.base.cap}: "
+                             f"its table would pass {_TABLE_MAX_CELLS} cells")
         object.__setattr__(self, "dim", self.base.dim)
         object.__setattr__(self, "time_dependent", self.base.time_dependent)
 
     def _nodes(self):
-        return _mollifier_nodes(self.eps, self.dim, self.quad_points)
+        return _mollifier_nodes(self.eps, self.dim)
 
     def _fan_out(self, t, x, shifts):
         """Base values at x + s for each row s of ``shifts`` (n, dim), in order.
@@ -361,6 +487,8 @@ class MollifiedDrift(Drift):
             yield lo, self.base._value(t, np.add(x, group, out=points[: len(group)]))
 
     def _value(self, t, x):
+        if isinstance(self.base, HolderPowerDrift):
+            return _hermite(_power_table(self.base, self.eps), x)
         offsets, weights = self._nodes()
         weights = weights.reshape((-1,) + (1,) * x.ndim)
         acc = None
@@ -388,10 +516,13 @@ class MollifiedDrift(Drift):
         singularity of the base divergence is integrated across rather than
         sampled; the result is bounded uniformly in x for every eps.  In
         higher dimension the divergence commutes with the node sum instead
-        (the catalogue's multi-d fields all have smooth divergences).
+        (the catalogue's multi-d fields all have smooth divergences).  A
+        power-law base's divergence is the derivative of its table.
         """
+        if isinstance(self.base, HolderPowerDrift):
+            return _hermite(_power_table(self.base, self.eps), x, slope=True)[..., 0]
         if self.dim == 1:
-            edges, kern = _stieltjes_kernel(self.eps, max(2 * self.quad_points, 64))
+            edges, kern = _stieltjes_kernel(self.eps)
             # streamed: one group of edge values and the last edge before it
             # stay alive between terms
             rows = (cur for _, vals in self._fan_out(t, x, edges[:, None]) for cur in vals[..., 0])
@@ -431,9 +562,9 @@ class GridSampledDrift(Drift):
 # module-level operations
 
 
-def mollify_drift(spec: Drift, eps, quad_points=32):
+def mollify_drift(spec: Drift, eps):
     """Return the mollified variant b^eps = theta_eps * b."""
-    return MollifiedDrift(base=spec, eps=float(eps), quad_points=int(quad_points))
+    return MollifiedDrift(base=spec, eps=float(eps))
 
 
 # ---------------------------------------------------------------------------
@@ -455,12 +586,7 @@ def drift_to_dict(spec: Drift) -> dict:
     if isinstance(spec, LinearDrift):
         return {"kind": "linear", "matrix": np.asarray(spec.matrix).tolist()}
     if isinstance(spec, MollifiedDrift):
-        return {
-            "kind": "mollified",
-            "eps": spec.eps,
-            "quad_points": spec.quad_points,
-            "base": drift_to_dict(spec.base),
-        }
+        return {"kind": "mollified", "eps": spec.eps, "base": drift_to_dict(spec.base)}
     if isinstance(spec, GridSampledDrift):
         return {
             "kind": "grid_sampled",
@@ -486,25 +612,32 @@ def drift_from_dict(data: dict) -> Drift:
         raise DriftError(f"{kind} drift JSON has a malformed value: {exc}") from exc
 
 
+def _typed(data, key, default, kind):
+    """data[key], or the default, if it is a flag (kind bool) or a count (kind int)."""
+    value = data.get(key, default)
+    if isinstance(value, bool) != (kind is bool) or not isinstance(value, numbers.Integral):
+        what = "true or false" if kind is bool else "an integer"
+        raise DriftError(f"drift JSON key {key!r} must be {what}, got {value!r}")
+    return kind(value)
+
+
 def _drift_of_kind(kind, data):
     if kind == "zero":
-        return ZeroDrift(dim=int(data.get("dim", 1)))
+        return ZeroDrift(dim=_typed(data, "dim", 1, int))
     if kind == "holder_power":
         return HolderPowerDrift(
             gamma=float(data["gamma"]),
             cap=float(data.get("cap", 2.0)),
-            signed=bool(data.get("signed", True)),
+            signed=_typed(data, "signed", True, bool),
         )
     if kind == "rotation2d":
         return Rotation2DDrift(omega=float(data.get("omega", 1.0)))
     if kind == "linear":
         return LinearDrift(matrix=np.asarray(data["matrix"], dtype=float))
     if kind == "mollified":
-        return MollifiedDrift(
-            base=drift_from_dict(data["base"]),
-            eps=float(data["eps"]),
-            quad_points=int(data.get("quad_points", 32)),
-        )
+        if "quad_points" in data:
+            raise DriftError("mollified drift JSON has no key 'quad_points': its resolution is fixed")
+        return MollifiedDrift(base=drift_from_dict(data["base"]), eps=float(data["eps"]))
     if kind == "grid_sampled":
         from .parabolic import SpaceTimeField
 

@@ -173,7 +173,7 @@ def stochastic_uniqueness(config):
     g = config.grid
     rep = _flow.pathwise_uniqueness_probe(spec, _paths(config), 0.0, deltas, g["T"])
     extremal = rep.extremal_separation
-    medians = [float(np.median(r["separation_at_t"])) for r in rep.rows]
+    medians = [_tp._median(r["separation_at_t"]) for r in rep.rows]
     decreasing = all(b < a for a, b in zip(medians, medians[1:]))
     det_err = abs(extremal - 2.0)
     rows = [
@@ -264,7 +264,7 @@ def ito_tanaka(config):
     f = lambda xs: spec.divergence(0.0, xs[..., None])
     reps = _pb.ito_tanaka_check(spec, f, _paths(config), ex["x0"], g["L"], g["n_x"], g["n_t"])
     rels = [rep["residual"] / (abs(rep["lhs"]) + 0.01) for rep in reps]
-    med = float(np.median(rels))
+    med = _tp._median(rels)
     rows = [
         _row("median_relative_residual", med, "0", "<0.05", med < 0.05, paths=config.ensemble)
     ]
@@ -392,7 +392,7 @@ def jacobian_consistency(config):
     times = g["dt"] * np.arange(k_t + 1)
     jld = _flow.jacobian_logdiv(spec, times, traj[:, :, 1], g["dt"])
     rels = (abs(np.exp(jld) - jfd) / jfd).tolist()
-    med = float(np.median(rels))
+    med = _tp._median(rels)
     rows = [_row("median_relative_gap", med, "0", "<5e-2", med < 5e-2, gamma=ex["gamma"])]
     series = {"path-vs-relative-gap": list(zip(range(len(rels)), rels))}
     return rows, series
@@ -435,7 +435,7 @@ def commutator_decay(config):
     flow_monotone = True
     flow_medians = []
     for ti in range(len(times)):
-        med = [float(np.median([vals_p[ti] for vals_p in per_path[e]])) for e in ladder]
+        med = [_tp._median([vals_p[ti] for vals_p in per_path[e]]) for e in ladder]
         flow_medians.append(med)
         flow_monotone &= all(b < a for a, b in zip(med, med[1:]))
     rows = [
@@ -490,7 +490,7 @@ def wong_zakai(config):
             tk = k * dt
             wdot = np.array([sp.derivative(tk)[0] for sp in smooth])
             X = X + (spec.value(tk, X[..., None])[..., 0] + wdot[:, None]) * dt
-        med[n] = float(np.median(np.abs(X - ref).ravel()))
+        med[n] = _tp._median(np.abs(X - ref))
     ratio = med[ladder[0]] / med[ladder[-1]]
     rows = [
         _row(

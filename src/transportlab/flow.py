@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import noise as _noise
-from .drift import Drift, HolderPowerDrift, _fields_equal
+from .drift import Drift, HolderPowerDrift, _fields_equal, mollify_drift
 
 __all__ = [
     "Trajectory",
@@ -364,8 +364,6 @@ def sobolev_jacobian_probe(gammas, eps_ladder, paths, r, cap=2.0, n_x=128, t=0.5
     the eps ladder per gamma.  Exploratory: values are reported, the caller
     decides what to assert.
     """
-    from .drift import mollify_drift
-
     if n_x < 2:
         raise FlowError(f"n_x={n_x}: the centered difference needs n_x >= 2 cells")
     rows = []

@@ -12,9 +12,10 @@ import csv
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 from numpy.random import Generator, Philox
 
-from .drift import bump_value, bump_derivative, _bump_mass, _fields_equal, _gauss_nodes
+from .drift import bump_value, bump_derivative, _bump_mass, _fields_equal
 
 __all__ = [
     "BrownianPath",
@@ -193,7 +194,7 @@ class SmoothedPath:
     def __post_init__(self):
         if self.n < 1:
             raise NoiseError("smoothing index n must be >= 1")
-        u, w = _gauss_nodes(32)
+        u, w = leggauss(32)
         kv = w * (bump_value(u) / _bump_mass())
         object.__setattr__(self, "_u", u)
         object.__setattr__(self, "_wval", kv / kv.sum())

@@ -64,11 +64,13 @@ def test_mollify_trivial_cases():
     assert abs(hp.value(0.0, [0.0])[0]) < 1e-15  # odd field, even kernel
 
 
-def test_mollify_quad_points_floor():
-    with pytest.raises(dr.DriftError):
-        dr.mollify_drift(dr.ZeroDrift(), 0.1, quad_points=4)
-    with pytest.raises(dr.DriftError):
-        dr.mollify_drift(dr.ZeroDrift(), -0.1)
+@pytest.mark.parametrize("eps", [0.0, -0.1, np.nan, np.inf, -np.inf])
+def test_mollify_refuses_a_bad_radius(eps):
+    with pytest.raises(dr.DriftError, match="positive and finite"):
+        dr.mollify_drift(dr.ZeroDrift(), eps)
+    # the kernel alone too: a NaN width gave NaN values
+    with pytest.raises(dr.DriftError, match="positive and finite"):
+        dr.Mollifier(eps)
 
 
 def test_mollify_uniform_convergence_monotone():
@@ -83,7 +85,7 @@ def test_mollify_uniform_convergence_monotone():
 
 
 def test_mollified_rotation_divergence_free():
-    rot = dr.mollify_drift(dr.Rotation2DDrift(omega=1.3), 0.1, 24)
+    rot = dr.mollify_drift(dr.Rotation2DDrift(omega=1.3), 0.1)
     pts = np.array([[0.0, 0.0], [0.5, -0.25], [1.0, 2.0]])
     assert np.max(np.abs(rot.divergence(0.0, pts))) < 1e-8
 
@@ -196,7 +198,7 @@ def test_bump_value_matches_masked_formula_bitwise(u):
         dr.HolderPowerDrift(gamma=0.3, cap=1.5, signed=False),
         dr.Rotation2DDrift(omega=0.4),
         dr.LinearDrift(matrix=[[1.0, 0.5], [0.0, -2.0]]),
-        dr.MollifiedDrift(base=dr.HolderPowerDrift(gamma=0.5, cap=2.0), eps=0.05, quad_points=16),
+        dr.MollifiedDrift(base=dr.HolderPowerDrift(gamma=0.5, cap=2.0), eps=0.05),
     ],
 )
 def test_json_roundtrip(spec):
@@ -262,6 +264,26 @@ def test_non_finite_or_out_of_range_drift_json_is_refused(text):
         harness.load_config("mean-pde-mc", overrides=[f"drift={text}"])
 
 
+@pytest.mark.parametrize(
+    "text, key",
+    [
+        ('{"kind": "holder_power", "gamma": 0.5, "signed": "false"}', "signed"),
+        ('{"kind": "holder_power", "gamma": 0.5, "signed": 0}', "signed"),
+        ('{"kind": "zero", "dim": true}', "dim"),
+        ('{"kind": "zero", "dim": 1.5}', "dim"),
+        ('{"kind": "zero", "dim": "2"}', "dim"),
+        ('{"kind": "mollified", "eps": 0.05, "quad_points": 32, "base": {"kind": "zero"}}', "quad_points"),
+    ],
+    ids=["signed-string", "signed-int", "dim-bool", "dim-float", "dim-string", "quad-points"],
+)
+def test_drift_json_reads_flags_and_counts_by_type(text, key):
+    # each of these used to build a drift: "false" a signed one, true dim 1
+    with pytest.raises(dr.DriftError, match=f"'{key}'"):
+        dr.drift_from_json(text)
+    with pytest.raises(harness.ConfigError, match="^drift: "):
+        harness.load_config("mean-pde-mc", overrides=[f"drift={text}"])
+
+
 def test_eval_drift_thread_safe():
     # values may be shared and evaluated concurrently without synchronization
     from concurrent.futures import ThreadPoolExecutor
@@ -276,7 +298,7 @@ def test_eval_drift_thread_safe():
 
 def test_mollified_linear_exact_2d():
     A = np.array([[0.3, -1.1], [0.7, 0.2]])
-    m = dr.mollify_drift(dr.LinearDrift(matrix=A), 0.2, 24)
+    m = dr.mollify_drift(dr.LinearDrift(matrix=A), 0.2)
     pts = np.array([[0.4, -0.6], [0.0, 0.0]])
     assert np.allclose(m.value(0.0, pts), pts @ A.T, atol=1e-12)
 
@@ -326,7 +348,19 @@ def test_points_are_dim_last_and_checked_at_entry(spec):
 
 # The loops below are the previous MollifiedDrift code, kept as references:
 # the value fold checked the points at every base call, and the 1-d Stieltjes
-# divergence held all edge values in a list before folding them.
+# divergence held all edge values in a list before folding them.  A power law
+# is tabulated now; behind _Opaque it is a nonlinear base with a cusp that
+# takes the node rule, so the rule keeps the fields it was pinned on.
+
+
+class _Opaque(dr.Drift):
+    """A drift's values under a class the mollifier has no table for."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def _value(self, t, x):
+        return self.inner._value(t, x)
 
 
 def _mollified_value_reference(m, t, x):
@@ -339,7 +373,7 @@ def _mollified_value_reference(m, t, x):
 
 
 def _stieltjes_divergence_reference(m, t, x):
-    edges, kern = dr._stieltjes_kernel(m.eps, max(2 * m.quad_points, 64))
+    edges, kern = dr._stieltjes_kernel(m.eps)
     bvals = [m.base.value(t, x + o)[..., 0] for o in edges]
     acc = kern[0] * (bvals[1] - bvals[0])
     for j in range(1, len(kern)):
@@ -348,8 +382,8 @@ def _stieltjes_divergence_reference(m, t, x):
 
 
 BASES = [
-    dr.HolderPowerDrift(gamma=0.5, cap=2.0, signed=True),
-    dr.HolderPowerDrift(gamma=0.3, cap=1.5, signed=False),
+    _Opaque(dr.HolderPowerDrift(gamma=0.5, cap=2.0, signed=True)),
+    _Opaque(dr.HolderPowerDrift(gamma=0.3, cap=1.5, signed=False)),
     dr.LinearDrift(matrix=[[-1.3]]),
     dr.Rotation2DDrift(omega=0.7),
     dr.ZeroDrift(),
@@ -376,7 +410,7 @@ def test_mollified_drift_matches_previous_loops_bitwise(base, n):
     rng = np.random.default_rng(n)
     lead = n if isinstance(n, tuple) else (n,)
     offsets = m._nodes()[0][:, 0]
-    edges = dr._stieltjes_kernel(m.eps, max(2 * m.quad_points, 64))[0]
+    edges = dr._stieltjes_kernel(m.eps)[0]
     # signed zeros, the caps and beyond, and points whose shifts land on 0.0
     special = np.concatenate([[0.0, -0.0, 2.0, -2.0, 1.5, -1.5, 3.7, -3.7], offsets[:4], -edges[:4]])
     for shape in (lead + (base.dim,), (3,) + lead + (base.dim,)):
@@ -390,15 +424,15 @@ def test_mollified_drift_matches_previous_loops_bitwise(base, n):
             assert np.array_equal(m.divergence(0.25, x), ref)
 
 
-# values computed in place must leave the caller's points alone, on a batch
-# that fans out in one group of all 32 nodes (30 points) and on one that makes
-# one base call per node (9,000 points, past 8,192 elements); the bytes, signed
-# zeros included, are those of the previous code
+# values computed in place must leave the caller's points alone: the raw power
+# law, its table, and the node rule on a batch that fans out in one group of
+# all 32 nodes (30 points) and on one that makes one base call per node (9,000
+# points, past 8,192 elements); the bytes, signed zeros included, are those of
+# the previous code
 @pytest.mark.parametrize("n", [30, 9000])
 @pytest.mark.parametrize("signed", [True, False])
 def test_in_place_values_keep_the_points_and_the_bytes(n, signed):
     holder = dr.HolderPowerDrift(gamma=0.5, cap=2.0, signed=signed)
-    m = dr.mollify_drift(holder, 0.05)
     x = np.linspace(-2.5, 2.5, n).reshape(n, 1)
     x[:4, 0] = [0.0, -0.0, 2.0, -2.0]
     before = x.tobytes()
@@ -406,8 +440,89 @@ def test_in_place_values_keep_the_points_and_the_bytes(n, signed):
     previous = holder.coef * (sign * np.minimum(np.abs(x), holder.cap) ** holder.gamma)
     assert holder.value(0.0, x).tobytes() == previous.tobytes()
     assert x.tobytes() == before
-    assert m.value(0.0, x).tobytes() == _mollified_value_reference(m, 0.0, x).tobytes()
+    table = dr.mollify_drift(holder, 0.05)
+    table.value(0.0, x)
+    table.divergence(0.0, x)
     assert x.tobytes() == before
+    nodes = dr.mollify_drift(_Opaque(holder), 0.05)
+    assert nodes.value(0.0, x).tobytes() == _mollified_value_reference(nodes, 0.0, x).tobytes()
+    assert x.tobytes() == before
+
+
+def _stock_mollifications():
+    """Every (gamma, eps) at which a stock config mollifies the power law."""
+    from transportlab import experiments
+
+    pairs = set()
+    for spec in experiments.all_specs():
+        extra, ladders = spec.defaults.get("extra", {}), spec.defaults.get("ladders", {})
+        if "eps" in extra:
+            pairs.add((extra["gamma"], extra["eps"]))
+        if "gammas" in extra:
+            pairs |= {(g, e) for g in extra["gammas"] for e in ladders["eps"]}
+    return sorted(pairs)
+
+
+def _converged_mollification(base, eps, x):
+    """theta_eps * b at x: 512 cells a window, graded toward the cusp at 0 and
+    divided by the rule's own kernel mass; it moves by about 1e-9 from 256 cells."""
+    grade = eps * 0.7 ** np.arange(1, 78)
+    splits = (-base.cap, 0.0, base.cap, *grade, *-grade)
+    b = lambda y: base.value(0.0, y[:, None])[:, 0]
+    kern = dr.Mollifier(eps).kernel
+    return dr._convolve_at(x, b, eps, kern, 512, splits) / dr._convolve_at(x, np.ones_like, eps, kern, 512, splits)
+
+
+def _near_sharp_points(base, eps, n=41):
+    """Points across the field and clustered at 0, +-cap and +-(cap +- eps)."""
+    c = base.cap
+    spots = (0.0, c, -c, c + eps, -c - eps, c - eps, -c + eps)
+    return np.concatenate([np.linspace(-c - eps - 0.1, c + eps + 0.1, 401)]
+                          + [s + np.linspace(-1.5 * eps, 1.5 * eps, n) for s in spots])
+
+
+@pytest.mark.parametrize("gamma, eps", _stock_mollifications())
+def test_mollified_power_law_table_is_converged(gamma, eps):
+    base = dr.HolderPowerDrift(gamma=gamma, cap=2.0)
+    x = _near_sharp_points(base, eps)
+    want = _converged_mollification(base, eps, x)
+    table = dr.mollify_drift(base, eps).value(0.0, x[:, None])[:, 0]
+    node_rule = dr.mollify_drift(_Opaque(base), eps).value(0.0, x[:, None])[:, 0]
+    # the 32-node rule is off by 2e-4 to 5e-2 here, the table by 2e-7 to 1e-5
+    assert np.max(np.abs(table - want)) * 100 < np.max(np.abs(node_rule - want))
+
+
+@pytest.mark.parametrize("gamma, eps", [(0.05, 0.01), (0.5, 0.05), (0.75, 0.1)])
+@pytest.mark.parametrize("signed", [True, False])
+def test_mollified_power_law_divergence_is_the_tables_derivative(gamma, eps, signed):
+    base = dr.HolderPowerDrift(gamma=gamma, cap=2.0, signed=signed)
+    m = dr.mollify_drift(base, eps)
+    c = base.cap
+    x = np.array([0.0, c, -c, c + eps, -c - eps, c - eps, -c + eps, 0.3, -1.1])[:, None]
+    h = 1e-6
+    centred = (m.value(0.0, x + h) - m.value(0.0, x - h))[:, 0] / (2.0 * h)
+    div = m.divergence(0.0, x)
+    assert np.all(np.abs(centred - div) <= 1e-6 * (1.0 + np.abs(div)))
+    # past cap + eps the field is the power law's constant, exactly
+    far = np.array([c + eps + 1e-9, -c - eps - 1e-9, 3.0, -7.5, 1e300, -1e300])[:, None]
+    assert m.value(0.0, far).tobytes() == base.value(0.0, far).tobytes()
+    assert np.array_equal(m.divergence(0.0, far), np.zeros(len(far)))
+
+
+def test_mollified_power_law_never_takes_the_node_rule(monkeypatch):
+    m = dr.mollify_drift(dr.HolderPowerDrift(gamma=0.6, cap=2.0), 0.05)
+    x = np.linspace(-3.0, 3.0, 18000).reshape(2000, 9, 1)
+    m.value(0.0, x[:1])  # builds the table, which convolves the base
+    calls = []
+    inner = dr.HolderPowerDrift._value
+    monkeypatch.setattr(dr.HolderPowerDrift, "_value", lambda self, t, y: calls.append(y.shape) or inner(self, t, y))
+    assert m.value(0.0, x).shape == x.shape and m.divergence(0.0, x).shape == x.shape[:-1]
+    assert calls == []
+    dr.mollify_drift(dr.HolderPowerDrift(gamma=0.6, cap=2.0), 0.0499).value(0.0, x[:1])
+    assert calls  # a new table does reach the base
+    # a table finer than its node budget is refused rather than built
+    with pytest.raises(dr.DriftError, match="too small"):
+        dr.mollify_drift(dr.HolderPowerDrift(gamma=0.6, cap=2.0), 1e-6)
 
 
 @pytest.mark.parametrize("signed", [True, False])
@@ -419,7 +534,7 @@ def test_holder_power_signed_zeros_give_positive_zero(signed):
 def test_mollified_divergence_streams_its_edges():
     import tracemalloc
 
-    m = dr.mollify_drift(dr.HolderPowerDrift(gamma=0.5, cap=2.0), 0.05)
+    m = dr.mollify_drift(_Opaque(dr.HolderPowerDrift(gamma=0.5, cap=2.0)), 0.05)
     x = np.linspace(-1.0, 1.0, 2049 * 10).reshape(2049, 10, 1)
     m.divergence(0.0, x)  # warm the kernel caches
     tracemalloc.start()
@@ -482,7 +597,6 @@ _drifts = st.one_of(
         dr.MollifiedDrift,
         base=_plain_drifts,
         eps=st.floats(0.01, 0.5),
-        quad_points=st.integers(8, 24),
     ),
 )
 

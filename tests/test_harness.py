@@ -215,6 +215,20 @@ print("scipy" in sys.modules)
     assert out.stdout.split() == ["False", "False", "True"]
 
 
+def test_numpy_ma_stays_unloaded_through_a_median(tmp_path):
+    # np.median imports numpy.ma at its first call; the experiments' own
+    # median does not, so stochastic-uniqueness's wall time does not pay it
+    code = """
+import sys
+from transportlab import experiments, harness
+harness.run_experiment(harness.load_config("stochastic-uniqueness"), write=False)
+print("numpy.ma" in sys.modules)
+"""
+    out = _run_python(["-c", code], tmp_path)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["False"]
+
+
 def test_cli_list(tmp_path):
     out = _run_cli(["list"], tmp_path)
     assert out.returncode == 0, out.stderr

@@ -299,7 +299,7 @@ def test_residuals_2d_with_divergence():
 def _gauss_cells_reference(edges):
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * np.diff(edges)
-    nodes = np.concatenate([mid - half * tp._GAUSS_OFF, mid + half * tp._GAUSS_OFF])
+    nodes = np.concatenate([mid - half * dr._GAUSS_OFF, mid + half * dr._GAUSS_OFF])
     return nodes, np.concatenate([half, half])
 
 
@@ -600,7 +600,7 @@ def _convolve_per_window(points, fn, eps, kernel, inner_cells, splits):
         edges = tp._edges(p - eps, p + eps, inner_cells, splits)
         mid = 0.5 * (edges[:-1] + edges[1:])
         half = 0.5 * np.diff(edges)
-        nodes = np.concatenate([mid - half * tp._GAUSS_OFF, mid + half * tp._GAUSS_OFF])
+        nodes = np.concatenate([mid - half * dr._GAUSS_OFF, mid + half * dr._GAUSS_OFF])
         w = np.concatenate([half, half])
         out[i] = np.sum(w * kernel(p - nodes) * fn(nodes))
     return out
@@ -617,9 +617,9 @@ def test_convolve_blocks_match_per_window_bitwise():
     # window edges exactly on the split point count as windows without a jump
     on_split = np.array([eps, -eps])
     assert on_split[0] - eps == 0.0 and on_split[1] + eps == 0.0
-    points = np.concatenate([np.linspace(-3.0, 3.0, 2 * tp._CONV_BLOCK + 37), on_split])
+    points = np.concatenate([np.linspace(-3.0, 3.0, 2 * dr._CONV_BLOCK + 37), on_split])
     unsplit = np.sum((points - eps >= 0.0) | (points + eps <= 0.0))
-    assert tp._CONV_BLOCK * 2 < unsplit < len(points)
+    assert dr._CONV_BLOCK * 2 < unsplit < len(points)
     for splits in ((0.0,), (0.0, -2.0, 0.0, 2.0), (), (0.0, 0.1)):
         got = tp._convolve_at(points, g, eps, kern, 24, splits)
         assert np.array_equal(got, _convolve_per_window(points, g, eps, kern, 24, splits))
@@ -632,7 +632,7 @@ def test_convolve_blocks_match_per_window_bitwise():
     "eps, inner_cells, points, splits, case",
     [
         # one split inside more than _CONV_BLOCK windows: the group spans blocks
-        (2.0, 24, np.linspace(-3.0, 3.0, 2 * tp._CONV_BLOCK + 37), (0.0, 5.0), "wide"),
+        (2.0, 24, np.linspace(-3.0, 3.0, 2 * dr._CONV_BLOCK + 37), (0.0, 5.0), "wide"),
         # 2 eps / 16 = 2^-6, so the window at 0.0625 has a linspace edge on the split at 0
         (0.125, 16, np.array([-0.5, 0.25, 0.0625, 0.3, 1.0]), (0.0,), "split on an edge"),
         # two splits inside the window at 0.0625, both on its edges; 0.0 given twice
@@ -644,7 +644,7 @@ def test_convolve_split_groups_match_per_window_bitwise(eps, inner_cells, points
     g = lambda x: np.sin(3.0 * np.asarray(x, dtype=float)) + (np.asarray(x) > 0.0)
     inside = _inside(points, eps, splits)
     if case == "wide":
-        assert np.sum(inside == 1) > tp._CONV_BLOCK and np.any(inside == 0)
+        assert np.sum(inside == 1) > dr._CONV_BLOCK and np.any(inside == 0)
     else:
         # some window with a split inside has that split on one of its linspace edges
         assert any(
@@ -662,7 +662,7 @@ _POWER = dr.HolderPowerDrift(gamma=0.5, cap=2.0)
 @pytest.mark.parametrize(
     "case, points, fn",
     [
-        ("mixed", np.linspace(-1.0, 1.0, 2 * tp._CONV_BLOCK + 37), _STEP),
+        ("mixed", np.linspace(-1.0, 1.0, 2 * dr._CONV_BLOCK + 37), _STEP),
         ("all zero", np.linspace(-3.0, -0.5, 300), _STEP),
         # g v left of the jump: 0 * (v < 0) is -0.0
         ("all -0.0", np.linspace(-3.0, -0.5, 300), lambda x: _STEP(x) * _POWER.value(0.0, x[..., None])[..., 0]),
@@ -690,10 +690,10 @@ def test_convolve_zero_rows_match_per_window_bitwise(case, points, fn):
 @pytest.mark.parametrize("inner_cells", [1, 24, 25])
 def test_convolve_edges_are_linspace_bitwise(monkeypatch, inner_cells):
     eps = 0.0125
-    points = np.concatenate([np.linspace(-5.0, 5.0, tp._CONV_BLOCK + 3), [0.1, -0.3, 1e-3]])
+    points = np.concatenate([np.linspace(-5.0, 5.0, dr._CONV_BLOCK + 3), [0.1, -0.3, 1e-3]])
     seen = []
-    gauss = tp._gauss_nodes_weights
-    monkeypatch.setattr(tp, "_gauss_nodes_weights", lambda e: seen.append(e) or gauss(e))
+    gauss = dr._gauss_nodes_weights
+    monkeypatch.setattr(dr, "_gauss_nodes_weights", lambda e: seen.append(e) or gauss(e))
     tp._convolve_at(points, np.cos, eps, dr.Mollifier(eps=eps).kernel, inner_cells, ())
     assert len(seen) == 2 and all(e.flags.c_contiguous for e in seen)
     want = np.linspace(points - eps, points + eps, inner_cells + 1, axis=-1)
@@ -740,7 +740,7 @@ def test_commutator_convolutions_match_per_window_bitwise(monkeypatch, path):
         "StepDatum", "_commutator_core.<locals>.<lambda>", "TestFunction.value",
         "commutator_along_flow.<locals>.weight",
     }
-    assert max(len(c[0]) for c in calls) > tp._CONV_BLOCK
+    assert max(len(c[0]) for c in calls) > dr._CONV_BLOCK
     monkeypatch.undo()
     for args in calls:
         assert np.array_equal(tp._convolve_at(*args), _convolve_per_window(*args))
@@ -793,3 +793,19 @@ def test_commutator_ladder_needs_two_entries(ladder):
     v = dr.HolderPowerDrift(gamma=0.5, cap=2.0, signed=False)
     with pytest.raises(tp.TransportError, match=f"got {len(ladder)}"):
         tp.commutator_ladder(v, tp.StepDatum(0.0), tp.TestFunction(0.3, 1.2), ladder)
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        [3.0], [2.0, 1.0], [5.0, 1.0, 4.0], [0.1, 0.7, 0.2, 0.4],
+        [1.0, 1.0, 1.0, 2.0], [2.0, 2.0, 1.0],  # ties
+        [0.0, -0.0], [-0.0, 0.0], [-0.0, -0.0], [0.0, -0.0, 0.0], [-0.0, 0.0, -0.0], [-0.0, 1.0, 0.0, -1.0],
+        [1.0, np.nan, 2.0], [np.nan], [np.nan, 1.0], [-np.inf, np.inf], [1e308, 1e308],
+        np.random.default_rng(5).normal(size=1001), np.random.default_rng(6).normal(size=(10, 40)),
+    ],
+)
+def test_median_matches_numpy_bitwise(values):
+    want = np.float64(np.median(values))
+    got = tp._median(values)
+    assert type(got) is float and np.float64(got).tobytes() == want.tobytes()
