@@ -278,7 +278,7 @@ def ito_tanaka(config):
     "acceptance 6",
     {
         "seed": 1,
-        "grid": {"L": 8.0, "n_x": 8192, "n_t": 256, "T": 1.0},
+        "grid": {"L": 8.0, "n_x": 8192},
         "ladders": {"lam": [10.0, 30.0, 100.0, 300.0]},
         "extra": {"gamma": 0.05, "cap": 2.0, "eps": 0.01},
     },
@@ -287,9 +287,7 @@ def grad_decay(config):
     ex = config.extra
     g = config.grid
     spec = _mollified_power(config)
-    study = _pb.grad_decay_study(
-        spec, config.ladders["lam"], g["L"], g["n_x"], g["T"], g["n_t"]
-    )
+    study = _pb.grad_decay_study(spec, config.ladders["lam"], g["L"], g["n_x"])
     sups = [r["grad_sup"] for r in study["rows"]]
     monotone = all(b <= a for a, b in zip(sups, sups[1:]))
     slope = study["slope"]
@@ -312,7 +310,7 @@ def grad_decay(config):
     "acceptance 7",
     {
         "seed": 11,
-        "grid": {"L": 12.0, "n_x": 4096, "n_t": 256, "dt": 2.0**-10, "T": 1.0},
+        "grid": {"L": 12.0, "n_x": 4096, "dt": 2.0**-10, "T": 1.0},
         "extra": {"gamma": 0.5, "cap": 2.0, "eps": 0.05, "lam": 50.0, "x0": 0.3},
     },
 )
@@ -320,9 +318,7 @@ def conjugated_sde(config):
     ex = config.extra
     g = config.grid
     spec = _mollified_power(config)
-    transform = _pb.build_zvonkin_transform(
-        spec, ex["lam"], g["L"], g["n_x"], g["T"], g["n_t"]
-    )
+    transform = _pb.build_zvonkin_transform(spec, ex["lam"], g["L"], g["n_x"])
     path = _noise.sample_brownian(config.seed, 3, 1, g["T"], g["dt"])
     direct = _flow.integrate_sde(spec, path, ex["x0"], 0.0, g["T"])
     _, mapped = _pb.integrate_conjugated(transform, path, ex["x0"], 0.0, g["T"])

@@ -92,7 +92,7 @@ def _philox(seed, stream_id):
     if seed is None or seed < 0 or stream_id is None or stream_id < 0:
         raise NoiseError("seed and stream_id must be non-negative integers")
     key = np.array([seed, stream_id], dtype=np.uint64)
-    return Generator(Philox(key=key))
+    return Philox(key=key)
 
 
 def _n_steps(T, dt):
@@ -116,8 +116,15 @@ def sample_increments(seed, d, T, dt, n_paths, stream_offset=0):
     n = _n_steps(T, dt)
     out = np.empty((n, n_paths, d))
     root = np.sqrt(dt)
+    # one generator, re-keyed per stream: a fresh state with key [seed, stream]
+    # is Philox(key=[seed, stream]), whose construction would draw OS entropy
+    # only for the key to override it
+    bits = _philox(seed, stream_offset)
+    gen, fresh = Generator(bits), bits.state
     for j in range(n_paths):
-        out[:, j, :] = _philox(seed, stream_offset + j).standard_normal((n, d)) * root
+        fresh["state"]["key"][1] = stream_offset + j
+        bits.state = fresh
+        out[:, j, :] = gen.standard_normal((n, d)) * root
     return out
 
 

@@ -1,19 +1,19 @@
-"""1-d Crank-Nicolson solvers for the resolvent system, the terminal-value
-problem and the mean advection-diffusion equation, plus the auxiliary-function
-identity checker and the drift-removing change of variables.
+"""1-d solvers for the resolvent system, the terminal-value problem and the
+mean advection-diffusion equation, plus the auxiliary-function identity
+checker and the drift-removing change of variables.
 
 Conventions.  All problems live on the truncated domain [-L, L] with
-homogeneous Neumann walls (mirror ghost nodes, second order).  The backward
-resolvent lives on an unbounded time horizon; it is truncated at T + pad with
-terminal guess 0, so the terminal contamination at times <= T is bounded by
-exp(-lambda * pad).  All three solvers step through one unconditionally stable
-Crank-Nicolson march, which factors each distinct tridiagonal system once
-(LAPACK dgttrf) and solves every step with the factors (dgttrs).  The backward
-solvers take a time-independent drift and a source f(xs), so a solve builds
-and factors its system once; the mean equation also marches time-dependent
-drifts, one system per time level.  A guard stops the march before a right
-side that is non-finite or above 1e150: the backward solvers raise
-ParabolicError, the mean equation keeps its clipped state and notes it.
+homogeneous Neumann walls (mirror ghost nodes, second order).  Every solve
+factors each distinct tridiagonal system once (LAPACK dgttrf) and solves
+with the factors (dgttrs).  The resolvent takes a time-independent drift and
+source, so its infinite-horizon solution does not depend on t: it is one
+stationary solve of (lam - A) psi = -f.  The terminal-value problem and the
+mean equation step through one unconditionally stable Crank-Nicolson march;
+the terminal-value problem builds and factors its system once, the mean
+equation also marches time-dependent drifts, one system per time level.  A
+guard stops the march before a right side that is non-finite or above
+1e150: the terminal-value solver raises ParabolicError, the mean equation
+keeps its clipped state and notes it.
 """
 
 from __future__ import annotations
@@ -164,18 +164,19 @@ def _apply(bands, u):
     return out
 
 
-def _factor(bands, lam, c):
-    """Solver of (I + c (lam - A)) x = rhs, factored once (LAPACK dgttrf) and
+def _factor(bands, shift, c):
+    """Solver of (shift - c A) x = rhs, factored once (LAPACK dgttrf) and
     applied per right side (dgttrs): the elimination and back-substitution of
-    the dgtsv inside scipy's solve_banded, bit for bit.  scipy's wrappers
-    refuse n = 2, so a 2-node system gets a decoupled identity row.  scipy is
-    imported here, at the first factorisation, so only a process that runs a
-    Crank-Nicolson solve pays for loading it."""
+    the dgtsv inside scipy's solve_banded, bit for bit.  A Crank-Nicolson step
+    takes shift 1 and c = dt/2, the resolvent shift lam and c = 1.  scipy's
+    wrappers refuse n = 2, so a 2-node system gets a decoupled identity row.
+    scipy is imported here, at the first factorisation, so only a process that
+    runs a parabolic solve pays for loading it."""
     from scipy.linalg import lapack
 
     lower, diag, upper = bands
     n = len(diag)
-    dl, d, du = -c * lower[1:], 1.0 + c * lam - c * diag, -c * upper[:-1]
+    dl, d, du = -c * lower[1:], shift - c * diag, -c * upper[:-1]
     if n == 2:
         dl, d, du = np.append(dl, 0.0), np.append(d, 1.0), np.append(du, 0.0)
     *lu, info = lapack.dgttrf(dl, d, du)
@@ -191,20 +192,20 @@ def _factor(bands, lam, c):
     return solve
 
 
-def _march(u, values, rows, bands, c, lam=0.0, fsum=0.0, freeze=False):
+def _march(u, values, rows, bands, c, fsum=0.0, freeze=False):
     """The one Crank-Nicolson loop.  From u = u_0, step j solves
-    (I + c (lam - A_{j+1})) u_{j+1} = u_j + c (A_j u_j - lam u_j) - c fsum and
-    keeps u_{j+1} in ``values[rows[j]]`` unless that row is None.  ``bands`` is
-    a static operator, factored once, or a function of the level j, built and
-    factored once per level.  The blow-up guard stops before a step whose right
-    side is non-finite or above 1e150: it raises ParabolicError, or with
-    ``freeze`` fills the later rows with the clipped state and returns True.
+    (I - c A_{j+1}) u_{j+1} = u_j + c A_j u_j - c fsum and keeps u_{j+1} in
+    ``values[rows[j]]``.  ``bands`` is a static operator, factored once, or a
+    function of the level j, built and factored once per level.  The blow-up
+    guard stops before a step whose right side is non-finite or above 1e150:
+    it raises ParabolicError, or with ``freeze`` fills the later rows with the
+    clipped state and returns True.
     """
     bands_at = bands if callable(bands) else lambda j: bands
     here, factored = bands_at(0), None
     with np.errstate(over="ignore", invalid="ignore"):
         for j, row in enumerate(rows):
-            rhs = u + c * (_apply(here, u) - lam * u)
+            rhs = u + c * _apply(here, u)
             rhs -= c * fsum
             if not np.all(np.isfinite(rhs)) or np.max(np.abs(rhs)) > 1e150:
                 if not freeze:
@@ -214,10 +215,9 @@ def _march(u, values, rows, bands, c, lam=0.0, fsum=0.0, freeze=False):
                 return True
             nxt = bands_at(j + 1)
             if nxt is not factored:
-                solve, factored = _factor(nxt, lam, c), nxt
+                solve, factored = _factor(nxt, 1.0, c), nxt
             u = solve(rhs)
-            if row is not None:
-                values[row] = u
+            values[row] = u
             here = nxt
     return False
 
@@ -228,67 +228,59 @@ def _drift_slice(spec: Drift, t, xs):
     return spec.value(t, xs[:, None])[:, 0]
 
 
+def _check_grid(**grid):
+    for name, value in grid.items():
+        if not (value >= 1 if name.startswith("n_") else 0 < value < math.inf):
+            raise ParabolicError(f"{name}={value!r}: need n_x, n_t >= 1 and finite L, T > 0")
+
+
+def _nodes(L, n_x):
+    """Nodes of [-L, L] in n_x cells."""
+    _check_grid(n_x=n_x, L=L)
+    return np.linspace(-L, L, int(n_x) + 1)
+
+
 def _grid(L, n_x, T, n_t):
     """Nodes of [-L, L] in n_x cells and the step of [0, T] in n_t steps."""
-    for name, value, ok in (
-        ("n_x", n_x, n_x >= 1),
-        ("n_t", n_t, n_t >= 1),
-        ("L", L, 0 < L < math.inf),
-        ("T", T, 0 < T < math.inf),
-    ):
-        if not ok:
-            raise ParabolicError(f"{name}={value!r}: need n_x, n_t >= 1 and finite L, T > 0")
-    return np.linspace(-L, L, int(n_x) + 1), T / int(n_t), int(n_t)
+    _check_grid(n_t=n_t, T=T)
+    return _nodes(L, n_x), T / int(n_t), int(n_t)
 
 
-def _static_problem(spec: Drift, f, L, n_x, T, n_t):
-    """Grid, time step and count, operator bands and source f(xs) of a
-    backward problem, built once."""
-    xs, dt, n_t = _grid(L, n_x, T, n_t)
+def _static_problem(spec: Drift, f, xs):
+    """Operator bands and source f(xs) of a backward problem, built once."""
     if spec.time_dependent:
         raise ParabolicError("backward solvers need a time-independent drift")
     bands = _assemble(_drift_slice(spec, 0.0, xs), xs[1] - xs[0])
     fx = f(xs)
     if not np.all(np.isfinite(fx)):
         raise ParabolicError("source f(xs) has non-finite values on the grid")
-    return xs, dt, n_t, bands, fx
+    return bands, fx
 
 
-def solve_backward_resolvent(spec: Drift, f, lam, L, n_x, T, n_t, horizon_pad=None):
-    """Backward march of d_t u + (Laplacian/2 + b.D) u - lam u = f on [0, T].
+def solve_backward_resolvent(spec: Drift, f, lam, L, n_x):
+    """Infinite-horizon solution of d_t u + (Laplacian/2 + b.D) u - lam u = f.
 
     ``spec`` must be time-independent and ``f(xs)`` is a bounded source on
-    the grid; both are evaluated once per solve.  The march starts from
-    T + pad with zero terminal guess.  If the supplied pad undercuts
-    ln(||f||_0 / 1e-8) / lam, a residual warning is attached to the returned
-    field instead of failing.
+    the grid, so the solution is stationary: one banded solve of
+    (lam - A) u = -f, returned as a field with a single time row.
     """
+    if not math.isfinite(lam):
+        raise ParabolicError(f"resolvent parameter lambda={lam!r} must be finite")
     if lam <= 0:
         raise ParabolicError("resolvent parameter lambda must be positive")
-    xs, dt, n_t, bands, fx = _static_problem(spec, f, L, n_x, T, n_t)
-    fmax = float(np.max(np.abs(fx)))
-    needed = math.log(max(fmax, 1e-8) / 1e-8) / lam
-    pad = needed if horizon_pad is None else float(horizon_pad)
-    notes = []
-    if pad < needed - 1e-12:
-        notes.append(
-            f"horizon_pad={pad:.4g} below ln(|f|/1e-8)/lambda={needed:.4g}; "
-            f"terminal contamination ~{fmax * math.exp(-lam * pad) / lam:.3g}"
-        )
-    pad_steps = int(math.ceil(pad / dt)) if pad > 0 else 0
-    values = np.zeros((n_t + 1, len(xs)))
-    # from zero at level n_t + pad_steps down to 0; the pad levels are not kept
-    rows = [k if k <= n_t else None for k in range(n_t + pad_steps - 1, -1, -1)]
-    _march(np.zeros(len(xs)), values, rows, bands, 0.5 * dt, lam, fx + fx)
-    return SpaceTimeField(xs=xs, ts=dt * np.arange(n_t + 1), values=values, notes=notes)
+    xs = _nodes(L, n_x)
+    bands, fx = _static_problem(spec, f, xs)
+    u = _factor(bands, lam, 1.0)(-fx)
+    return SpaceTimeField(xs=xs, ts=np.zeros(1), values=u[None, :])
 
 
 def solve_terminal_value(spec: Drift, f, L, n_x, n_t, T):
     """Terminal-value problem d_t F + Laplacian F / 2 + b.DF = f, F(T, .) = 0,
     for a time-independent ``spec`` and a source ``f(xs)``."""
-    xs, dt, n_t, bands, fx = _static_problem(spec, f, L, n_x, T, n_t)
+    xs, dt, n_t = _grid(L, n_x, T, n_t)
+    bands, fx = _static_problem(spec, f, xs)
     values = np.zeros((n_t + 1, len(xs)))
-    _march(np.zeros(len(xs)), values, range(n_t - 1, -1, -1), bands, 0.5 * dt, 0.0, fx + fx)
+    _march(np.zeros(len(xs)), values, range(n_t - 1, -1, -1), bands, 0.5 * dt, fx + fx)
     return SpaceTimeField(xs=xs, ts=dt * np.arange(n_t + 1), values=values)
 
 
@@ -362,7 +354,7 @@ class ZvonkinTransform:
         return 1.0 + self.dpsi.interpolate(t, self.inverse(t, y))
 
 
-def build_zvonkin_transform(spec: Drift, lam, L, n_x, T, n_t, horizon_pad=None):
+def build_zvonkin_transform(spec: Drift, lam, L, n_x):
     """Solve the resolvent system with f = -b and wrap it as a transform.
 
     Refuses when the measured sup|D psi| reaches 1 (the map would stop being
@@ -370,7 +362,7 @@ def build_zvonkin_transform(spec: Drift, lam, L, n_x, T, n_t, horizon_pad=None):
     lambda^{-1/2} envelope.
     """
     f = lambda xs: -_drift_slice(spec, 0.0, xs)
-    psi = solve_backward_resolvent(spec, f, lam, L, n_x, T, n_t, horizon_pad=horizon_pad)
+    psi = solve_backward_resolvent(spec, f, lam, L, n_x)
     dpsi = psi.x_derivative()
     grad_sup = dpsi.sup_norm()
     if grad_sup >= 1.0:
@@ -382,7 +374,7 @@ def build_zvonkin_transform(spec: Drift, lam, L, n_x, T, n_t, horizon_pad=None):
     return ZvonkinTransform(psi=psi, lam=float(lam), grad_sup=float(grad_sup), dpsi=dpsi)
 
 
-def grad_decay_study(spec: Drift, lambda_list, L, n_x, T, n_t, horizon_pad=None):
+def grad_decay_study(spec: Drift, lambda_list, L, n_x):
     """sup|D psi_lambda| along an increasing lambda ladder plus fitted slope."""
     lams = list(lambda_list)
     if len(lams) < 4 or any(b <= a for a, b in zip(lams, lams[1:])):
@@ -390,7 +382,7 @@ def grad_decay_study(spec: Drift, lambda_list, L, n_x, T, n_t, horizon_pad=None)
     f = lambda xs: -_drift_slice(spec, 0.0, xs)
     rows = []
     for lam in lams:
-        psi = solve_backward_resolvent(spec, f, lam, L, n_x, T, n_t, horizon_pad=horizon_pad)
+        psi = solve_backward_resolvent(spec, f, lam, L, n_x)
         rows.append({"lambda": float(lam), "grad_sup": psi.x_derivative().sup_norm()})
     sups = np.array([r["grad_sup"] for r in rows])
     if np.all(sups == 0.0):
@@ -415,14 +407,16 @@ def integrate_conjugated(transform: ZvonkinTransform, path, x0, s=0.0, t=None):
     times = dt * np.arange(ks, kt + 1)
     X = np.empty(kt - ks + 1)
     X[0] = float(x0)
+    # x = Psi^{-1}(t_k, Y_k): one inverse per step serves both coefficients
+    # and the mapped-back point
+    x = transform.inverse(ks * dt, y)
     for k in range(ks, kt):
         tk = k * dt
-        y = (
-            y
-            + float(transform.drift_tilde(tk, y)) * dt
-            + float(transform.sigma_tilde(tk, y)) * path.increments[k, 0]
-        )
-        X[k - ks + 1] = float(transform.inverse((k + 1) * dt, y))
+        drift = transform.lam * transform.psi.interpolate(tk, x)
+        sigma = 1.0 + transform.dpsi.interpolate(tk, x)
+        y = y + float(drift) * dt + float(sigma) * path.increments[k, 0]
+        x = transform.inverse((k + 1) * dt, y)
+        X[k - ks + 1] = float(x)
     return times, X
 
 

@@ -207,7 +207,7 @@ print("scipy" in sys.modules)
 harness.run_experiment(harness.load_config("zero-drift-sanity"), write=False)
 print("scipy" in sys.modules)
 from transportlab import drift, parabolic
-parabolic.solve_backward_resolvent(drift.ZeroDrift(), lambda xs: 0.0 * xs + 1.0, 1.0, L=1.0, n_x=8, T=1.0, n_t=4)
+parabolic.solve_backward_resolvent(drift.ZeroDrift(), lambda xs: 0.0 * xs + 1.0, 1.0, L=1.0, n_x=8)
 print("scipy" in sys.modules)
 """
     out = _run_python(["-c", code], tmp_path)

@@ -50,6 +50,13 @@ def test_batch_increments_match_streams():
         assert np.array_equal(single.increments, batch[:, j, :])
     paths = [nz.sample_brownian(9, 2 + j, 2, 1.0, 1 / 128) for j in range(4)]
     assert np.array_equal(nz.stacked_increments(paths), batch)
+    # one re-keyed generator gives each stream's own bits, far offsets and a
+    # single path included
+    for seed, d, n_paths, offset in [(9, 1, 1, 0), (3, 3, 3, 2**50), (2**40, 2, 1, 2**50 + 7)]:
+        batch = nz.sample_increments(seed, d, 1.0, 1 / 64, n_paths, stream_offset=offset)
+        for j in range(n_paths):
+            rng = np.random.Generator(np.random.Philox(key=[seed, offset + j]))
+            assert batch[:, j, :].tobytes() == (rng.standard_normal((64, d)) * np.sqrt(1 / 64)).tobytes()
 
 
 def test_noise_arguments_checked_in_one_place():

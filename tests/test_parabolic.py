@@ -20,10 +20,10 @@ def const_f(c):
 
 def test_resolvent_constant_ansatz():
     # d_t u + u_xx/2 - lam u = c with constant u gives u = -c/lam
-    u = pb.solve_backward_resolvent(dr.ZeroDrift(), const_f(1.0), 4.0, L=6.0, n_x=256, T=1.0, n_t=128)
+    u = pb.solve_backward_resolvent(dr.ZeroDrift(), const_f(1.0), 4.0, L=6.0, n_x=256)
     assert np.max(np.abs(u.values + 0.25)) < 1e-8
 
-    u0 = pb.solve_backward_resolvent(dr.ZeroDrift(), const_f(0.0), 4.0, L=6.0, n_x=64, T=0.5, n_t=32)
+    u0 = pb.solve_backward_resolvent(dr.ZeroDrift(), const_f(0.0), 4.0, L=6.0, n_x=64)
     assert np.all(u0.values == 0.0)
 
 
@@ -32,7 +32,7 @@ def test_resolvent_stationary_oscillation():
     L, lam = 6.0, 4.0
     k = np.pi / L
     f = lambda xs: np.sin(k * xs)
-    u = pb.solve_backward_resolvent(dr.ZeroDrift(), f, lam, L=L, n_x=512, T=1.0, n_t=256)
+    u = pb.solve_backward_resolvent(dr.ZeroDrift(), f, lam, L=L, n_x=512)
     exact = -np.sin(k * u.xs) / (lam + k * k / 2.0)
     interior = np.abs(u.xs) <= L / 2
     assert np.max(np.abs(u.values[0][interior] - exact[interior])) < 1e-3
@@ -46,7 +46,7 @@ def test_resolvent_grid_convergence_bracket():
     f = lambda xs: np.cos(k * xs)
     errs = []
     for n_x in (128, 256, 512):
-        u = pb.solve_backward_resolvent(dr.ZeroDrift(), f, lam, L=L, n_x=n_x, T=0.5, n_t=2048)
+        u = pb.solve_backward_resolvent(dr.ZeroDrift(), f, lam, L=L, n_x=n_x)
         exact = -np.cos(k * u.xs) / (lam + k * k / 2.0)
         errs.append(np.max(np.abs(u.values[0] - exact)))
     factors = [errs[i] / errs[i + 1] for i in range(2)]
@@ -63,15 +63,19 @@ def test_resolvent_grid_convergence_bracket():
 )
 def test_resolvent_maximum_principle(spec):
     lam = 4.0
-    u = pb.solve_backward_resolvent(spec, const_f(1.0), lam, L=8.0, n_x=512, T=1.0, n_t=256)
+    u = pb.solve_backward_resolvent(spec, const_f(1.0), lam, L=8.0, n_x=512)
     assert u.sup_norm() <= 1.1 / lam
 
 
-def test_resolvent_pad_warning():
-    u = pb.solve_backward_resolvent(
-        dr.ZeroDrift(), const_f(1.0), 2.0, L=4.0, n_x=64, T=0.5, n_t=32, horizon_pad=0.1
-    )
-    assert u.notes and "horizon_pad" in u.notes[0]
+@pytest.mark.parametrize(
+    "lam, message",
+    [(0.0, "must be positive"), (-1.0, "must be positive"), (np.nan, "must be finite"),
+     (np.inf, "must be finite"), (-np.inf, "must be finite")],
+)
+def test_resolvent_rejects_a_bad_lambda(lam, message):
+    # NaN compares false with lam <= 0, so it needs a check of its own
+    with pytest.raises(pb.ParabolicError, match=message):
+        pb.solve_backward_resolvent(dr.ZeroDrift(), const_f(1.0), lam, L=2.0, n_x=16)
 
 
 def test_terminal_value_oracles():
@@ -135,7 +139,7 @@ def test_mean_pde_mass_conservation_divergence_free():
 
 
 def test_zvonkin_identity_for_zero_drift():
-    tr = pb.build_zvonkin_transform(dr.ZeroDrift(), 10.0, L=4.0, n_x=128, T=1.0, n_t=64)
+    tr = pb.build_zvonkin_transform(dr.ZeroDrift(), 10.0, L=4.0, n_x=128)
     assert tr.grad_sup == 0.0
     assert tr.forward(0.3, 0.7) == pytest.approx(0.7, abs=0)
     assert float(tr.inverse(0.3, np.asarray(0.7))) == pytest.approx(0.7)
@@ -145,7 +149,7 @@ def test_zvonkin_identity_for_zero_drift():
 
 def test_zvonkin_inverse_consistency():
     spec = dr.mollify_drift(dr.HolderPowerDrift(gamma=0.5, cap=2.0), 0.05)
-    tr = pb.build_zvonkin_transform(spec, 50.0, L=10.0, n_x=2048, T=1.0, n_t=128)
+    tr = pb.build_zvonkin_transform(spec, 50.0, L=10.0, n_x=2048)
     assert tr.grad_sup < 1.0
     ys = np.linspace(-3, 3, 41)
     h_x = 2 * 10.0 / 2048
@@ -158,13 +162,13 @@ def test_zvonkin_inverse_consistency():
 def test_zvonkin_refuses_small_lambda():
     spec = dr.mollify_drift(dr.HolderPowerDrift(gamma=0.5, cap=2.0), 0.05)
     with pytest.raises(pb.ParabolicError, match="try lambda"):
-        pb.build_zvonkin_transform(spec, 1.0, L=10.0, n_x=1024, T=1.0, n_t=64)
+        pb.build_zvonkin_transform(spec, 1.0, L=10.0, n_x=1024)
 
 
 def test_conjugated_equivalence():
     spec = dr.mollify_drift(dr.HolderPowerDrift(gamma=0.5, cap=2.0), 0.05)
     L, n_x = 12.0, 2048
-    tr = pb.build_zvonkin_transform(spec, 50.0, L=L, n_x=n_x, T=1.0, n_t=128)
+    tr = pb.build_zvonkin_transform(spec, 50.0, L=L, n_x=n_x)
     dt = 2.0**-9
     path = nz.sample_brownian(11, 3, 1, 1.0, dt)
     direct = fl.integrate_sde(spec, path, 0.3, 0.0, 1.0)
@@ -174,19 +178,19 @@ def test_conjugated_equivalence():
 
 
 def test_grad_decay_zero_drift_exact_zero():
-    study = pb.grad_decay_study(dr.ZeroDrift(), [1.0, 3.0, 10.0, 30.0], L=4.0, n_x=128, T=0.5, n_t=32)
+    study = pb.grad_decay_study(dr.ZeroDrift(), [1.0, 3.0, 10.0, 30.0], L=4.0, n_x=128)
     assert study["slope"] is None
     assert all(r["grad_sup"] == 0.0 for r in study["rows"])
 
 
 def test_grad_decay_slope_bracket():
     spec = dr.mollify_drift(dr.HolderPowerDrift(gamma=0.05, cap=2.0), 0.01)
-    study = pb.grad_decay_study(spec, [10.0, 30.0, 100.0, 300.0], L=8.0, n_x=4096, T=1.0, n_t=256)
+    study = pb.grad_decay_study(spec, [10.0, 30.0, 100.0, 300.0], L=8.0, n_x=4096)
     sups = [r["grad_sup"] for r in study["rows"]]
     assert all(b <= a for a, b in zip(sups, sups[1:]))
     assert -0.65 <= study["slope"] <= -0.35
     with pytest.raises(pb.ParabolicError):
-        pb.grad_decay_study(spec, [10.0, 5.0], L=4.0, n_x=64, T=0.5, n_t=16)
+        pb.grad_decay_study(spec, [10.0, 5.0], L=4.0, n_x=64)
 
 
 def test_ito_tanaka_constant_integrand():
@@ -253,7 +257,7 @@ def test_field_csv_roundtrip_property(n_t, n_x, data):
 def test_backward_solvers_reject_non_finite_source(bad):
     f = lambda xs: np.where(xs > 0.5, bad, 1.0)
     with pytest.raises(pb.ParabolicError, match="source f"):
-        pb.solve_backward_resolvent(dr.ZeroDrift(), f, 4.0, L=2.0, n_x=16, T=0.5, n_t=8)
+        pb.solve_backward_resolvent(dr.ZeroDrift(), f, 4.0, L=2.0, n_x=16)
     with pytest.raises(pb.ParabolicError, match="source f"):
         pb.solve_terminal_value(dr.ZeroDrift(), f, L=2.0, n_x=16, n_t=8, T=0.5)
 
@@ -278,8 +282,9 @@ def test_solvers_reject_bad_grid(bad):
     # n_x=0 was an IndexError, n_t=0 a ZeroDivisionError, L=0 a field of NaN warnings
     grid = {"L": 2.0, "n_x": 16, "n_t": 8, "T": 0.5, **bad}
     name = next(iter(bad))
-    with pytest.raises(pb.ParabolicError, match=f"^{name}="):
-        pb.solve_backward_resolvent(dr.ZeroDrift(), const_f(1.0), 4.0, **grid)
+    if name in ("L", "n_x"):  # the stationary resolvent has no time grid
+        with pytest.raises(pb.ParabolicError, match=f"^{name}="):
+            pb.solve_backward_resolvent(dr.ZeroDrift(), const_f(1.0), 4.0, L=grid["L"], n_x=grid["n_x"])
     with pytest.raises(pb.ParabolicError, match=f"^{name}="):
         pb.solve_terminal_value(dr.ZeroDrift(), const_f(1.0), **grid)
     with pytest.raises(pb.ParabolicError, match=f"^{name}="):
@@ -291,7 +296,7 @@ def test_resolvent_constant_ansatz_any_drift():
     lam = 4.0
     u = pb.solve_backward_resolvent(
         dr.HolderPowerDrift(gamma=0.5, cap=2.0), const_f(1.0), lam,
-        L=8.0, n_x=512, T=1.0, n_t=256,
+        L=8.0, n_x=512,
     )
     assert np.max(np.abs(u.values + 1.0 / lam)) < 1e-7
 
@@ -353,15 +358,62 @@ def test_backward_solvers_match_previous_march_bitwise(spec):
     div_b = lambda xs: spec.divergence(0.0, xs[:, None])
     for n_x in (256, 1):  # n_x = 1: the 2-node system of a padded factorisation
         xs = np.linspace(-L, L, n_x + 1)
-        needed = math.log(float(np.max(np.abs(minus_b(xs)))) / 1e-8) / lam
-        for pad, expect_pad in ((None, needed), (0.1, 0.1), (0.0, 0.0)):
-            u = pb.solve_backward_resolvent(spec, minus_b, lam, L, n_x, T, n_t, horizon_pad=pad)
-            ref = _backward_reference(spec, lambda t, x: minus_b(x), lam, L, n_x, T, n_t, expect_pad)
-            assert np.array_equal(u.values, ref) and u.values.tobytes() == ref.tobytes()
-            assert bool(u.notes) == (pad is not None)
+        # the resolvent is one solve of (lam - A) u = -f by scipy's banded solver
+        u = pb.solve_backward_resolvent(spec, minus_b, lam, L, n_x)
+        lower, diag, upper = pb._assemble(spec.value(0.0, xs[:, None])[:, 0], xs[1] - xs[0])
+        ab = np.zeros((3, n_x + 1))
+        ab[0, 1:], ab[1], ab[2, :-1] = -upper[:-1], lam - diag, -lower[1:]
+        ref = solve_banded((1, 1), ab, -minus_b(xs))
+        assert u.values.shape == (1, n_x + 1) and list(u.ts) == [0.0] and u.notes == []
+        assert np.array_equal(u.values[0], ref) and u.values[0].tobytes() == ref.tobytes()
         F = pb.solve_terminal_value(spec, div_b, L, n_x, n_t, T)
         ref = _backward_reference(spec, lambda t, x: div_b(x), 0.0, L, n_x, T, n_t, 0.0)
         assert np.array_equal(F.values, ref) and F.values.tobytes() == ref.tobytes()
+
+
+def test_backward_reference_march_converges_to_the_stationary_solve():
+    # The padded Crank-Nicolson march has (lam - A) u = -f as its fixed point,
+    # but CN damps grid-scale modes by a factor near -1 a step, so a coarse
+    # march stops short of it; refining the step closes the gap down to the
+    # pad's own contamination, ||f|| e^{-lam pad} / lam = 1e-8 / lam.
+    spec = dr.mollify_drift(dr.HolderPowerDrift(gamma=0.5, cap=2.0), 0.05)
+    L, n_x, T, lam = 4.0, 256, 0.25, 300.0
+    minus_b = lambda xs: -spec.value(0.0, xs[:, None])[:, 0]
+    u = pb.solve_backward_resolvent(spec, minus_b, lam, L, n_x)
+    pad = math.log(float(np.max(np.abs(minus_b(u.xs)))) / 1e-8) / lam
+    errs = []
+    for n_t in (16, 64, 256):
+        ref = _backward_reference(spec, lambda t, x: minus_b(x), lam, L, n_x, T, n_t, pad)
+        errs.append(np.max(np.abs(ref - u.values[0])))
+    assert errs[0] > 1e3 * errs[1] and errs[1] > errs[2]
+    assert errs[2] < 2e-8 / lam
+
+
+def test_conjugated_euler_matches_three_inverse_loop_bitwise():
+    # the previous loop inverted Psi once in each coefficient and once more
+    # for the mapped-back point
+    def three_call_loop(tr, path, x0, s, t):
+        ks, kt, dt = path.index_of(s, "s"), path.index_of(t, "t"), path.dt
+        y = float(tr.forward(s, float(x0)))
+        X = np.empty(kt - ks + 1)
+        X[0] = float(x0)
+        for k in range(ks, kt):
+            tk = k * dt
+            y = y + float(tr.drift_tilde(tk, y)) * dt + float(tr.sigma_tilde(tk, y)) * path.increments[k, 0]
+            X[k - ks + 1] = float(tr.inverse((k + 1) * dt, y))
+        return X
+
+    spec = dr.mollify_drift(dr.HolderPowerDrift(gamma=0.5, cap=2.0), 0.05)
+    stationary = pb.build_zvonkin_transform(spec, 50.0, L=12.0, n_x=2048)
+    # a psi that moves in t exercises the time interpolation as well
+    xs, ts = np.linspace(-12.0, 12.0, 2049), np.linspace(0.0, 1.0, 5)
+    psi = pb.SpaceTimeField(xs=xs, ts=ts, values=np.outer(1.0 + ts, 0.05 * np.sin(xs)))
+    moving = pb.ZvonkinTransform(psi=psi, lam=50.0, grad_sup=0.1, dpsi=psi.x_derivative())
+    path = nz.sample_brownian(11, 3, 1, 1.0, 2.0**-9)
+    for tr, s, t in ((stationary, 0.0, 1.0), (moving, 0.0, 1.0), (moving, 0.25, 0.75)):
+        times, mapped = pb.integrate_conjugated(tr, path, 0.3, s, t)
+        ref = three_call_loop(tr, path, 0.3, s, t)
+        assert len(times) == len(ref) and mapped.tobytes() == ref.tobytes()
 
 
 def _forward_reference(spec, u0, L, n_x, n_t, T, laplacian_sign=1.0):
@@ -414,19 +466,21 @@ def test_mean_pde_matches_previous_march_bitwise(spec, sign, n_x, freezes):
 
 
 def test_static_solves_factor_once(monkeypatch):
-    factored, built = [], []
-    factor, assemble = pb._factor, pb._assemble
+    factored, built, marched = [], [], []
+    factor, assemble, march = pb._factor, pb._assemble, pb._march
     monkeypatch.setattr(pb, "_factor", lambda *a: factored.append(1) or factor(*a))
     monkeypatch.setattr(pb, "_assemble", lambda *a, **k: built.append(1) or assemble(*a, **k))
+    monkeypatch.setattr(pb, "_march", lambda *a, **k: marched.append(1) or march(*a, **k))
     spec = dr.HolderPowerDrift(gamma=0.5, cap=2.0)
-    for solve in (
-        lambda: pb.solve_backward_resolvent(spec, const_f(1.0), 4.0, L=4.0, n_x=64, T=0.5, n_t=16),
-        lambda: pb.solve_terminal_value(spec, const_f(1.0), L=4.0, n_x=64, n_t=16, T=0.5),
-        lambda: pb.solve_mean_pde(spec, const_f(1.0), L=4.0, n_x=64, n_t=16, T=0.5),
+    for solve, marches in (
+        # the resolvent is stationary: one factorisation and no march
+        (lambda: pb.solve_backward_resolvent(spec, const_f(1.0), 4.0, L=4.0, n_x=64), 0),
+        (lambda: pb.solve_terminal_value(spec, const_f(1.0), L=4.0, n_x=64, n_t=16, T=0.5), 1),
+        (lambda: pb.solve_mean_pde(spec, const_f(1.0), L=4.0, n_x=64, n_t=16, T=0.5), 1),
     ):
-        factored.clear(), built.clear()
+        factored.clear(), built.clear(), marched.clear()
         solve()
-        assert (len(factored), len(built)) == (1, 1)
+        assert (len(factored), len(built), len(marched)) == (1, 1, marches)
     # a time-dependent drift: one operator and one factorisation per level
     factored.clear(), built.clear()
     pb.solve_mean_pde(dr.GridSampledDrift(field=_moving_field()), const_f(1.0), L=4.0, n_x=64, n_t=16, T=0.5)
@@ -438,12 +492,13 @@ def test_solvers_raise_parabolic_errors():
     # exactly singular: I + (0 - A) with the flipped Laplacian has a zero pivot
     with pytest.raises(pb.ParabolicError, match="singular tridiagonal system"):
         pb.solve_mean_pde(dr.ZeroDrift(), one, L=1, n_x=2, n_t=1, T=2, laplacian_sign=-1)
-    # b = 1e308 x overflows on the grid: the backward guard raises, never a field
+    # b = 1e308 x overflows on the grid: the backward guard raises, never a
+    # field, and the resolvent's system cannot be factored
     huge = dr.LinearDrift(matrix=[[1e308]])
     with pytest.raises(pb.ParabolicError, match="overflowed"):
         pb.solve_terminal_value(huge, one, L=4, n_x=16, n_t=8, T=0.5)
-    with pytest.raises(pb.ParabolicError, match="overflowed"):
-        pb.solve_backward_resolvent(huge, one, 4.0, L=4, n_x=16, n_t=8, T=0.5)
+    with pytest.raises(pb.ParabolicError, match="non-finite tridiagonal system"):
+        pb.solve_backward_resolvent(huge, one, 4.0, L=4, n_x=16)
     # a finite state whose next operator is not finite cannot be factored
     xs = np.linspace(-4.0, 4.0, 3)
     spike = pb.SpaceTimeField(xs=xs, ts=np.array([0.0, 1.0]), values=np.array([[0.0] * 3, [1e308] * 3]))
@@ -455,6 +510,6 @@ def test_backward_solvers_refuse_time_dependent_drift():
     fld = pb.SpaceTimeField(xs=np.linspace(-1, 1, 3), ts=np.array([0.0, 1.0]), values=np.zeros((2, 3)))
     for spec in (dr.GridSampledDrift(field=fld), dr.mollify_drift(dr.GridSampledDrift(field=fld), 0.1)):
         with pytest.raises(pb.ParabolicError, match="time-independent"):
-            pb.solve_backward_resolvent(spec, const_f(1.0), 4.0, L=2.0, n_x=16, T=0.5, n_t=8)
+            pb.solve_backward_resolvent(spec, const_f(1.0), 4.0, L=2.0, n_x=16)
         with pytest.raises(pb.ParabolicError, match="time-independent"):
             pb.solve_terminal_value(spec, const_f(1.0), L=2.0, n_x=16, n_t=8, T=0.5)
