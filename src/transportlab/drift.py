@@ -4,8 +4,7 @@ All drifts are pure values: evaluating one never mutates state, so instances
 can be shared freely across threads.  Points are numpy arrays of shape
 ``(..., dim)`` in every dimension, 1-d included; ``value`` and ``divergence``
 check shape and finiteness once at entry and then evaluate through the
-variants' unchecked ``_value`` and ``_divergence``, so a mollified drift does
-not re-check its points at every quadrature node.
+variants' unchecked ``_value`` and ``_divergence``.
 """
 
 from __future__ import annotations
@@ -100,46 +99,6 @@ def _bump_mass():
     return float(np.sum(w * bump_value(u)))
 
 
-# element budget of one grouped base call of a mollified drift (see _fan_out)
-_GROUP_ELEMENTS = 16384
-# Gauss nodes per axis of the fixed-node rule, and cells of the 1-d Stieltjes
-# divergence, for the bases that have no table (see MollifiedDrift)
-_MOLLIFIER_NODES = 32
-_STIELTJES_CELLS = 64
-
-
-@cache
-def _stieltjes_kernel(eps):
-    """Cell edges on [-eps, eps] and normalized kernel values at midpoints.
-
-    Supports the Stieltjes convolution sum_j theta_eps(mid_j) (b(x+e_{j+1}) -
-    b(x+e_j)); weights are scaled so a linear b yields its exact slope.
-    """
-    edges = np.linspace(-eps, eps, _STIELTJES_CELLS + 1)
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    k = bump_value(mids / eps)
-    return edges, k / np.sum(k * np.diff(edges))
-
-
-@cache
-def _mollifier_nodes(eps, dim):
-    u, w = leggauss(_MOLLIFIER_NODES)  # an even count keeps every node off the kernel's center
-    if dim == 1:
-        raw = w * bump_value(u)
-        offsets = (eps * u).reshape(-1, 1)
-    elif dim == 2:
-        uu, vv = np.meshgrid(u, u, indexing="ij")
-        ww = np.outer(w, w)
-        rr = np.sqrt(uu**2 + vv**2)
-        raw = (ww * bump_value(rr)).ravel()
-        offsets = eps * np.stack([uu.ravel(), vv.ravel()], axis=-1)
-        keep = raw > 0.0
-        raw, offsets = raw[keep], offsets[keep]
-    else:
-        raise DriftError(f"mollifier not implemented for dim={dim}")
-    return offsets, raw / raw.sum()
-
-
 # ---------------------------------------------------------------------------
 # split-cell quadrature: cells split at the integrand's jumps, 2-pt Gauss per
 # cell.  The mollified power law's table and the transport commutators share it.
@@ -223,7 +182,8 @@ _TABLE_MAX_CELLS = 2**17  # on the half line: a build of seconds, 15 MB of table
 
 
 def _table_cells(cap, eps):
-    return math.ceil((cap + eps) * _TABLE_CELLS_PER_EPS / eps)
+    """Cells on the half line, unrounded: a huge cap gives inf, not an OverflowError."""
+    return (cap + eps) * _TABLE_CELLS_PER_EPS / eps
 
 
 @lru_cache(maxsize=16)
@@ -238,7 +198,7 @@ def _power_table(base, eps):
     theta_eps' on x >= 0, cells split at 0 and +-cap, mirrored by b's parity.
     """
     half = base.cap + eps
-    n = _table_cells(base.cap, eps)
+    n = math.ceil(_table_cells(base.cap, eps))
     step = half / n
     r = np.linspace(0.0, half, n + 1)
     b = lambda y: base._value(0.0, y[:, None])[:, 0]
@@ -424,7 +384,7 @@ class LinearDrift(Drift):
 
     def __post_init__(self):
         a = np.atleast_2d(np.asarray(self.matrix, dtype=float))
-        if a.shape[0] != a.shape[1] or not np.all(np.isfinite(a)):
+        if a.ndim != 2 or a.shape[0] != a.shape[1] or not np.all(np.isfinite(a)):
             raise DriftError(f"linear drift needs a finite square matrix, got {a.tolist()}")
         object.__setattr__(self, "matrix", a)
         object.__setattr__(self, "dim", a.shape[0])
@@ -447,98 +407,34 @@ class MollifiedDrift(Drift):
     """Convolution b^eps = theta_eps * b of a base drift with the bump mollifier.
 
     A power-law base is read from its converged Hermite table (_power_table),
-    whose derivative is the divergence.  Other bases use a fixed-node rule:
-    ``value`` and ``divergence`` commute with the discrete convolution, so the
-    divergence is the exact derivative of the discretely mollified field
-    wherever the base divergence exists at the shifted nodes.
+    whose derivative is the divergence.  theta_eps is even with unit mass, so
+    it leaves an affine field as it is: over a zero, linear or rotation base,
+    b^eps and its divergence are the base's own.  Any other base is refused.
     """
 
-    base: Drift = None
-    eps: float = 0.1
+    base: Drift
+    eps: float
 
     def __post_init__(self):
-        if self.base is None:
-            raise DriftError("mollified drift needs a base drift")
+        if type(self.base) not in (HolderPowerDrift, ZeroDrift, LinearDrift, Rotation2DDrift):
+            raise DriftError(f"a mollified drift takes a holder_power, zero, linear or rotation2d base, "
+                             f"got {type(self.base).__name__}")
         if not 0 < self.eps < math.inf:
             raise DriftError("mollification radius must be positive and finite")
         if isinstance(self.base, HolderPowerDrift) and _table_cells(self.base.cap, self.eps) > _TABLE_MAX_CELLS:
             raise DriftError(f"mollification radius {self.eps} is too small for the cap {self.base.cap}: "
                              f"its table would pass {_TABLE_MAX_CELLS} cells")
         object.__setattr__(self, "dim", self.base.dim)
-        object.__setattr__(self, "time_dependent", self.base.time_dependent)
-
-    def _nodes(self):
-        return _mollifier_nodes(self.eps, self.dim)
-
-    def _fan_out(self, t, x, shifts):
-        """Base values at x + s for each row s of ``shifts`` (n, dim), in order.
-
-        Yields (lo, values), values of shape (k, *x.shape) for shifts lo..lo+k-1.
-        k is the most shifts whose points fit in _GROUP_ELEMENTS, and at least
-        one: a small batch makes one base call for all shifts, a large one keeps
-        one call, and one point array's memory, per shift.  The shifted points
-        of every group share one buffer, so the base must not keep its input.
-        """
-        k = min(max(_GROUP_ELEMENTS // max(x.size, 1), 1), len(shifts))
-        shifts = shifts.reshape((-1,) + (1,) * (x.ndim - 1) + (self.dim,))
-        points = np.empty((k,) + x.shape)
-        for lo in range(0, len(shifts), k):
-            group = shifts[lo : lo + k]
-            yield lo, self.base._value(t, np.add(x, group, out=points[: len(group)]))
 
     def _value(self, t, x):
         if isinstance(self.base, HolderPowerDrift):
             return _hermite(_power_table(self.base, self.eps), x)
-        offsets, weights = self._nodes()
-        weights = weights.reshape((-1,) + (1,) * x.ndim)
-        acc = None
-        # x + (-o) has the bits of x - o; the fold runs in node order, because
-        # a reduction over the node axis may sum pairwise.  The base's values
-        # are fresh, so they are weighted and summed in place, the earlier
-        # groups' sum into the first row.  add.accumulate is the same fold in
-        # one call, but it pays per column: it wins on short rows only.
-        for lo, vals in self._fan_out(t, x, -offsets):
-            vals *= weights[lo : lo + len(vals)]
-            if acc is not None:
-                vals[0] += acc
-            if x.size < 4 * len(vals):
-                acc = np.add.accumulate(vals, out=vals)[-1]
-            else:
-                acc = vals[0]
-                for term in vals[1:]:
-                    acc += term
-        return acc
+        return self.base._value(t, x)
 
     def divergence_analytic(self, t, x):
-        """div b^eps; in 1-d via the Stieltjes form int theta_eps(o) db(x + o).
-
-        The Stieltjes sum touches only values of b, so the integrable
-        singularity of the base divergence is integrated across rather than
-        sampled; the result is bounded uniformly in x for every eps.  In
-        higher dimension the divergence commutes with the node sum instead
-        (the catalogue's multi-d fields all have smooth divergences).  A
-        power-law base's divergence is the derivative of its table.
-        """
         if isinstance(self.base, HolderPowerDrift):
             return _hermite(_power_table(self.base, self.eps), x, slope=True)[..., 0]
-        if self.dim == 1:
-            edges, kern = _stieltjes_kernel(self.eps)
-            # streamed: one group of edge values and the last edge before it
-            # stay alive between terms
-            rows = (cur for _, vals in self._fan_out(t, x, edges[:, None]) for cur in vals[..., 0])
-            prev = next(rows)
-            acc = None
-            for k, cur in zip(kern, rows):
-                term = k * (cur - prev)
-                acc = term if acc is None else acc + term
-                prev = cur
-            return acc
-        offsets, weights = self._nodes()
-        acc = None
-        for off, w in zip(offsets, weights):
-            term = w * self.base._divergence(t, x - off)
-            acc = term if acc is None else acc + term
-        return acc
+        return self.base.divergence_analytic(t, x)
 
 
 @dataclass(frozen=True)
@@ -608,17 +504,23 @@ def drift_from_dict(data: dict) -> Drift:
         raise
     except KeyError as exc:
         raise DriftError(f"{kind} drift JSON needs the key {exc}") from exc
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise DriftError(f"{kind} drift JSON has a malformed value: {exc}") from exc
 
 
+_KINDS = {bool: "true or false", int: "an integer", float: "a number", np.ndarray: "nested lists of numbers"}
+
+
 def _typed(data, key, default, kind):
-    """data[key], or the default, if it is a flag (kind bool) or a count (kind int)."""
-    value = data.get(key, default)
-    if isinstance(value, bool) != (kind is bool) or not isinstance(value, numbers.Integral):
-        what = "true or false" if kind is bool else "an integer"
-        raise DriftError(f"drift JSON key {key!r} must be {what}, got {value!r}")
-    return kind(value)
+    """data[key], or the default unless it is None, as a flag (kind bool), a
+    count (int), a real (float) or an array of reals (np.ndarray).  Only a
+    flag is true or false, and none of them is a string."""
+    value = data[key] if default is None else data.get(key, default)
+    items = np.asarray(value, dtype=object).ravel() if kind is np.ndarray else (value,)
+    number = numbers.Integral if kind in (bool, int) else numbers.Real
+    if not all(isinstance(v, bool) == (kind is bool) and isinstance(v, number) for v in items):
+        raise DriftError(f"drift JSON has a malformed value: key {key!r} must be {_KINDS[kind]}, got {value!r}")
+    return np.asarray(value, dtype=float) if kind is np.ndarray else kind(value)
 
 
 def _drift_of_kind(kind, data):
@@ -626,24 +528,24 @@ def _drift_of_kind(kind, data):
         return ZeroDrift(dim=_typed(data, "dim", 1, int))
     if kind == "holder_power":
         return HolderPowerDrift(
-            gamma=float(data["gamma"]),
-            cap=float(data.get("cap", 2.0)),
+            gamma=_typed(data, "gamma", None, float),
+            cap=_typed(data, "cap", 2.0, float),
             signed=_typed(data, "signed", True, bool),
         )
     if kind == "rotation2d":
-        return Rotation2DDrift(omega=float(data.get("omega", 1.0)))
+        return Rotation2DDrift(omega=_typed(data, "omega", 1.0, float))
     if kind == "linear":
-        return LinearDrift(matrix=np.asarray(data["matrix"], dtype=float))
+        return LinearDrift(matrix=_typed(data, "matrix", None, np.ndarray))
     if kind == "mollified":
         if "quad_points" in data:
             raise DriftError("mollified drift JSON has no key 'quad_points': its resolution is fixed")
-        return MollifiedDrift(base=drift_from_dict(data["base"]), eps=float(data["eps"]))
+        return MollifiedDrift(base=drift_from_dict(data["base"]), eps=_typed(data, "eps", None, float))
     if kind == "grid_sampled":
         from .parabolic import SpaceTimeField
 
-        xs = np.asarray(data["xs"], dtype=float)
-        ts = np.asarray(data["ts"], dtype=float)
-        values = np.asarray(data["values"], dtype=float)
+        xs = _typed(data, "xs", None, np.ndarray)
+        ts = _typed(data, "ts", None, np.ndarray)
+        values = _typed(data, "values", None, np.ndarray)
         if xs.ndim != 1 or ts.ndim != 1:
             raise DriftError(f"grid_sampled xs and ts must be lists, got shapes {xs.shape} and {ts.shape}")
         if values.shape != (len(ts), len(xs)):

@@ -1,8 +1,10 @@
+import json
 import warnings
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from transportlab import drift as dr
 from transportlab import harness
@@ -58,8 +60,8 @@ def test_mollify_trivial_cases():
     z = dr.mollify_drift(dr.ZeroDrift(), 0.1)
     assert z.value(0.0, [0.37])[0] == 0.0
     lin = dr.mollify_drift(dr.LinearDrift(matrix=[[2.0]]), 0.3)
-    # symmetric kernel reproduces affine fields exactly
-    assert lin.value(0.0, [0.7])[0] == pytest.approx(1.4, abs=1e-14)
+    # an even kernel of unit mass leaves an affine field as it is
+    assert lin.value(0.0, [0.7])[0] == 1.4
     hp = dr.mollify_drift(dr.HolderPowerDrift(gamma=0.5, cap=2.0), 0.05)
     assert abs(hp.value(0.0, [0.0])[0]) < 1e-15  # odd field, even kernel
 
@@ -91,7 +93,7 @@ def test_mollified_rotation_divergence_free():
 
 
 def test_mollified_divergence_bounded_small_gamma():
-    # the Stieltjes convolution keeps div b^eps bounded even for gamma < 1/2
+    # the table's derivative keeps div b^eps bounded even for gamma < 1/2
     eps = 0.05
     m = dr.mollify_drift(dr.HolderPowerDrift(gamma=0.25, cap=2.0), eps)
     xs = np.linspace(-0.02, 0.02, 4001)[:, None]
@@ -147,9 +149,6 @@ def test_mollifier_normalization_and_support():
     assert total == pytest.approx(1.0, abs=1e-8)
     assert np.all(moll.kernel(np.array([0.21, -0.3])) == 0.0)
     assert moll.kernel(0.13) == moll.kernel(-0.13)
-    offsets, weights = dr.mollify_drift(dr.ZeroDrift(), 0.2)._nodes()
-    assert weights.sum() == pytest.approx(1.0, abs=1e-14)
-    assert np.max(np.abs(offsets)) < 0.2
 
 
 @pytest.mark.parametrize("eps", [0.2, 0.0125, 1.0, 3.0])
@@ -232,10 +231,14 @@ def test_json_grid_sampled_shape_is_a_drift_error():
         ('{"kind": "grid_sampled", "xs": [1, 0], "ts": [0, 1], "values": [[0, 0], [0, 0]]}', "increasing"),
         ('{"kind": "grid_sampled", "xs": [0, 1], "ts": [0, 0], "values": [[0, 0], [0, 0]]}', "increasing"),
         ('{"kind": "grid_sampled", "xs": [0, 1], "ts": [0, 1], "values": [[0, NaN], [0, 0]]}', "finite"),
+        # an OverflowError, and a ValueError from einsum at evaluation, before
+        ('{"kind": "mollified", "eps": 0.05, "base": {"kind": "holder_power", "gamma": 0.5, "cap": 1e308}}',
+         "too small for the cap"),
+        ('{"kind": "linear", "matrix": [[[1.0]]]}', "finite square matrix"),
     ],
     ids=[
         "not-an-object", "no-gamma", "no-eps", "no-matrix", "gamma-abc", "cap-nan",
-        "matrix-nan", "xs-decreasing", "ts-repeated", "values-nan",
+        "matrix-nan", "xs-decreasing", "ts-repeated", "values-nan", "huge-cap", "3d-matrix",
     ],
 )
 def test_malformed_drift_json_is_a_drift_error(text, match):
@@ -273,11 +276,22 @@ def test_non_finite_or_out_of_range_drift_json_is_refused(text):
         ('{"kind": "zero", "dim": 1.5}', "dim"),
         ('{"kind": "zero", "dim": "2"}', "dim"),
         ('{"kind": "mollified", "eps": 0.05, "quad_points": 32, "base": {"kind": "zero"}}', "quad_points"),
+        ('{"kind": "holder_power", "gamma": "0.5"}', "gamma"),
+        ('{"kind": "holder_power", "gamma": 0.5, "cap": true}', "cap"),
+        ('{"kind": "rotation2d", "omega": true}', "omega"),
+        ('{"kind": "mollified", "eps": "0.05", "base": {"kind": "zero"}}', "eps"),
+        ('{"kind": "linear", "matrix": "7"}', "matrix"),
+        ('{"kind": "linear", "matrix": true}', "matrix"),
+        ('{"kind": "linear", "matrix": [[1.0, false]]}', "matrix"),
     ],
-    ids=["signed-string", "signed-int", "dim-bool", "dim-float", "dim-string", "quad-points"],
+    ids=[
+        "signed-string", "signed-int", "dim-bool", "dim-float", "dim-string", "quad-points",
+        "gamma-string", "cap-bool", "omega-bool", "eps-string", "matrix-string", "matrix-bool", "matrix-entry-bool",
+    ],
 )
 def test_drift_json_reads_flags_and_counts_by_type(text, key):
-    # each of these used to build a drift: "false" a signed one, true dim 1
+    # each of these used to build a drift: "false" a signed one, true dim 1,
+    # and the reals through float(...): "0.5" gamma 0.5, true omega 1
     with pytest.raises(dr.DriftError, match=f"'{key}'"):
         dr.drift_from_json(text)
     with pytest.raises(harness.ConfigError, match="^drift: "):
@@ -346,15 +360,26 @@ def test_points_are_dim_last_and_checked_at_entry(spec):
     assert spec.divergence(0.0, np.full((4, 3, 1), 0.5)).shape == (4, 3)
 
 
-# The loops below are the previous MollifiedDrift code, kept as references:
-# the value fold checked the points at every base call, and the 1-d Stieltjes
-# divergence held all edge values in a list before folding them.  A power law
-# is tabulated now; behind _Opaque it is a nonlinear base with a cusp that
-# takes the node rule, so the rule keeps the fields it was pinned on.
+_AFFINE = [
+    dr.ZeroDrift(),
+    dr.ZeroDrift(dim=2),
+    dr.LinearDrift(matrix=[[-1.3]]),
+    dr.LinearDrift(matrix=[[0.3, -1.1], [0.7, 0.2]]),
+    dr.Rotation2DDrift(omega=0.7),
+]
+
+
+@pytest.mark.parametrize("base", _AFFINE, ids=["zero", "zero-2d", "linear", "linear-2d", "rotation2d"])
+def test_mollified_affine_base_is_the_base_bitwise(base):
+    m = dr.mollify_drift(base, 0.05)
+    x = np.random.default_rng(7).uniform(-2.5, 2.5, size=(3, 129, base.dim))
+    x[0, :4, 0] = [0.0, -0.0, 2.0, -2.0]
+    assert m.value(0.25, x).tobytes() == base.value(0.25, x).tobytes()
+    assert m.divergence(0.25, x).tobytes() == base.divergence(0.25, x).tobytes()
 
 
 class _Opaque(dr.Drift):
-    """A drift's values under a class the mollifier has no table for."""
+    """A drift's values under a class the mollifier does not know."""
 
     def __init__(self, inner):
         self.inner = inner
@@ -363,72 +388,39 @@ class _Opaque(dr.Drift):
         return self.inner._value(t, x)
 
 
-def _mollified_value_reference(m, t, x):
-    offsets, weights = m._nodes()
-    acc = None
-    for off, w in zip(offsets, weights):
-        term = w * m.base.value(t, x - off)
-        acc = term if acc is None else acc + term
-    return acc
+@dataclass(frozen=True)
+class _Shear(dr.LinearDrift):
+    """A user subclass of an accepted base: it could change the field."""
 
 
-def _stieltjes_divergence_reference(m, t, x):
-    edges, kern = dr._stieltjes_kernel(m.eps)
-    bvals = [m.base.value(t, x + o)[..., 0] for o in edges]
-    acc = kern[0] * (bvals[1] - bvals[0])
-    for j in range(1, len(kern)):
-        acc = acc + kern[j] * (bvals[j + 1] - bvals[j])
-    return acc
+_GRID_FIELD = pa.SpaceTimeField(xs=np.linspace(-1, 1, 3), ts=np.array([0.0, 1.0]), values=np.zeros((2, 3)))
 
 
-BASES = [
-    _Opaque(dr.HolderPowerDrift(gamma=0.5, cap=2.0, signed=True)),
-    _Opaque(dr.HolderPowerDrift(gamma=0.3, cap=1.5, signed=False)),
-    dr.LinearDrift(matrix=[[-1.3]]),
-    dr.Rotation2DDrift(omega=0.7),
-    dr.ZeroDrift(),
-    dr.LinearDrift(matrix=[[0.3, -1.1], [0.7, 0.2]]),
-    dr.GridSampledDrift(
-        field=pa.SpaceTimeField(
-            xs=np.linspace(-2.0, 2.0, 9),
-            ts=np.array([0.0, 0.5]),
-            values=np.sin(np.arange(18.0)).reshape(2, 9),
-        )
-    ),
-]
-
-
-# batch sizes on both sides of the fan-out's group boundaries (16,384
-# elements): all 32 nodes per call up to 512 points, one node per call past
-# 8,192 elements, and past the budget itself at 16,385
-@pytest.mark.parametrize("base", BASES)
 @pytest.mark.parametrize(
-    "n", [1, 129, 2049, 30, 511, 512, 513, 16385, pytest.param((2000, 9), id="2000x9")]
+    "base",
+    [
+        dr.GridSampledDrift(field=_GRID_FIELD),
+        dr.mollify_drift(dr.ZeroDrift(), 0.1),
+        _Opaque(dr.HolderPowerDrift(gamma=0.5, cap=2.0)),
+        _Shear(matrix=[[1.0]]),
+        None,
+    ],
+    ids=["grid-sampled", "mollified", "opaque", "linear-subclass", "none"],
 )
-def test_mollified_drift_matches_previous_loops_bitwise(base, n):
-    m = dr.mollify_drift(base, 0.05)
-    rng = np.random.default_rng(n)
-    lead = n if isinstance(n, tuple) else (n,)
-    offsets = m._nodes()[0][:, 0]
-    edges = dr._stieltjes_kernel(m.eps)[0]
-    # signed zeros, the caps and beyond, and points whose shifts land on 0.0
-    special = np.concatenate([[0.0, -0.0, 2.0, -2.0, 1.5, -1.5, 3.7, -3.7], offsets[:4], -edges[:4]])
-    for shape in (lead + (base.dim,), (3,) + lead + (base.dim,)):
-        x = rng.uniform(-2.5, 2.5, size=shape)
-        x[..., 0][:: max(lead[0] // 4, 1)] = 0.0  # on the singularity
-        flat = x.reshape(-1, base.dim)  # a view: writes land in x
-        flat[: len(special), 0] = special[: len(flat)]
-        assert np.array_equal(m.value(0.25, x), _mollified_value_reference(m, 0.25, x))
-        if base.dim == 1:
-            ref = _stieltjes_divergence_reference(m, 0.25, x)
-            assert np.array_equal(m.divergence(0.25, x), ref)
+def test_mollified_drift_refuses_other_bases(base):
+    with pytest.raises(dr.DriftError, match="holder_power, zero, linear or rotation2d base"):
+        dr.mollify_drift(base, 0.05)
+    if isinstance(base, (dr.GridSampledDrift, dr.MollifiedDrift)):
+        text = json.dumps({"kind": "mollified", "eps": 0.05, "base": dr.drift_to_dict(base)})
+        with pytest.raises(dr.DriftError, match="rotation2d base"):
+            dr.drift_from_json(text)
+        with pytest.raises(harness.ConfigError, match="^drift: .*rotation2d base"):
+            harness.load_config("mean-pde-mc", overrides=[f"drift={text}"])
 
 
 # values computed in place must leave the caller's points alone: the raw power
-# law, its table, and the node rule on a batch that fans out in one group of
-# all 32 nodes (30 points) and on one that makes one base call per node (9,000
-# points, past 8,192 elements); the bytes, signed zeros included, are those of
-# the previous code
+# law and its table, on a small and a large batch; the raw law's bytes, signed
+# zeros included, are those of the previous code
 @pytest.mark.parametrize("n", [30, 9000])
 @pytest.mark.parametrize("signed", [True, False])
 def test_in_place_values_keep_the_points_and_the_bytes(n, signed):
@@ -443,9 +435,6 @@ def test_in_place_values_keep_the_points_and_the_bytes(n, signed):
     table = dr.mollify_drift(holder, 0.05)
     table.value(0.0, x)
     table.divergence(0.0, x)
-    assert x.tobytes() == before
-    nodes = dr.mollify_drift(_Opaque(holder), 0.05)
-    assert nodes.value(0.0, x).tobytes() == _mollified_value_reference(nodes, 0.0, x).tobytes()
     assert x.tobytes() == before
 
 
@@ -473,6 +462,15 @@ def _converged_mollification(base, eps, x):
     return dr._convolve_at(x, b, eps, kern, 512, splits) / dr._convolve_at(x, np.ones_like, eps, kern, 512, splits)
 
 
+def _node_rule(base, eps, x):
+    """theta_eps * b at x by the 32-node Gauss rule the table replaced: the
+    bump's Legendre weights on [-eps, eps], normalized to unit sum."""
+    u, w = np.polynomial.legendre.leggauss(32)
+    weights = w * dr.bump_value(u)
+    vals = base.value(0.0, (x[None, :] - eps * u[:, None])[..., None])[..., 0]
+    return weights @ vals / weights.sum()
+
+
 def _near_sharp_points(base, eps, n=41):
     """Points across the field and clustered at 0, +-cap and +-(cap +- eps)."""
     c = base.cap
@@ -487,7 +485,7 @@ def test_mollified_power_law_table_is_converged(gamma, eps):
     x = _near_sharp_points(base, eps)
     want = _converged_mollification(base, eps, x)
     table = dr.mollify_drift(base, eps).value(0.0, x[:, None])[:, 0]
-    node_rule = dr.mollify_drift(_Opaque(base), eps).value(0.0, x[:, None])[:, 0]
+    node_rule = _node_rule(base, eps, x)
     # the 32-node rule is off by 2e-4 to 5e-2 here, the table by 2e-7 to 1e-5
     assert np.max(np.abs(table - want)) * 100 < np.max(np.abs(node_rule - want))
 
@@ -531,50 +529,6 @@ def test_holder_power_signed_zeros_give_positive_zero(signed):
     assert b.value(0.0, np.array([[-0.0], [0.0]])).tobytes() == np.zeros((2, 1)).tobytes()
 
 
-def test_mollified_divergence_streams_its_edges():
-    import tracemalloc
-
-    m = dr.mollify_drift(_Opaque(dr.HolderPowerDrift(gamma=0.5, cap=2.0)), 0.05)
-    x = np.linspace(-1.0, 1.0, 2049 * 10).reshape(2049, 10, 1)
-    m.divergence(0.0, x)  # warm the kernel caches
-    tracemalloc.start()
-    try:
-        m.divergence(0.0, x)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    # the 65 edge arrays of 164 kB each held at once peaked near 10.6 MB
-    assert peak < 2e6
-
-
-class _Swirl(dr.Drift):
-    """2-d field with no analytic divergence: its divergence is a difference stencil."""
-
-    dim = 2
-
-    def _value(self, t, x):
-        return np.stack([np.sin(x[..., 1]) * x[..., 0] ** 2, np.cos(x[..., 0]) * x[..., 1]], axis=-1)
-
-
-@pytest.mark.parametrize(
-    "base", [dr.LinearDrift(matrix=[[0.3, 0.1], [-0.2, 0.5]]), dr.Rotation2DDrift(omega=0.7), _Swirl()]
-)
-def test_mollified_2d_divergence_checks_points_once(monkeypatch, base):
-    m = dr.mollify_drift(base, 0.1)
-    x = np.random.default_rng(3).uniform(-1.5, 1.5, size=(64, 64, 2))
-    # previous node loop: the base's public divergence, with its checks, at every node
-    offsets, weights = m._nodes()
-    ref = None
-    for off, w in zip(offsets, weights):
-        term = w * base.divergence(0.0, x - off)
-        ref = term if ref is None else ref + term
-    checks = []
-    check_point = dr.Drift._check_point
-    monkeypatch.setattr(dr.Drift, "_check_point", lambda self, p: checks.append(p.shape) or check_point(self, p))
-    assert np.array_equal(m.divergence(0.0, x), ref)
-    assert checks == [x.shape]
-
-
 _finite = st.floats(-3.0, 3.0, allow_nan=False)
 _plain_drifts = st.one_of(
     st.builds(dr.ZeroDrift, dim=st.sampled_from([1, 2])),
@@ -610,3 +564,79 @@ def test_json_roundtrip_property(spec, data):
         st.lists(st.floats(-4.0, 4.0), min_size=spec.dim, max_size=spec.dim), min_size=1, max_size=5,
     )))
     assert np.array_equal(again.value(0.0, x), spec.value(0.0, x))
+
+
+# Drift JSON objects of every kind, each value drawn well-typed or mistyped.  A
+# well-typed eps lies in [0.05, 1] and a well-typed cap in [0.1, 5], besides a
+# few edge values a power law refuses: its table may hold up to 2^17 cells and
+# take seconds to build, and these bounds keep each built table under 2,000.
+_NOT_A_NUMBER = st.one_of(st.booleans(), st.sampled_from(["0.5", "7", "", "nan"]), st.none(), st.just([0.5]), st.just({}))
+_COEF = st.one_of(st.floats(-3.0, 3.0), st.integers(-3, 3), st.sampled_from([np.nan, np.inf, 1e308]))
+_MATRIX = st.one_of(
+    st.integers(1, 2).flatmap(lambda n: st.lists(st.lists(_COEF, min_size=n, max_size=n), min_size=n, max_size=n)),
+    st.lists(st.lists(_COEF, max_size=2), max_size=2),  # empty, ragged or not square
+    _COEF.map(lambda c: [[[c]]]),  # 3-d
+    _COEF,  # a 1x1 matrix
+)
+_MISTYPED_MATRIX = st.one_of(st.booleans(), st.sampled_from(["7", "", None, {}, [[True]], [["1"]], [[1.0, None]]]))
+
+
+@st.composite
+def _drift_json(draw, depth=0):
+    """(a drift JSON object, whether one of its values is mistyped)."""
+    mistyped = False
+
+    def value(good, bad=_NOT_A_NUMBER):
+        nonlocal mistyped
+        if draw(st.integers(0, 3)):
+            return draw(good)
+        mistyped = True
+        return draw(bad)
+
+    kinds = ["zero", "holder_power", "rotation2d", "linear", "grid_sampled", "mollified"]
+    kind = draw(st.sampled_from(kinds[:-1] if depth == 2 else kinds))
+    data = {"kind": kind}
+    if kind == "zero" and draw(st.booleans()):
+        data["dim"] = value(st.integers(-1, 3), st.sampled_from([True, 1.5, "2"]))
+    elif kind == "holder_power":
+        data["gamma"] = value(st.one_of(st.floats(0.05, 0.95), st.sampled_from([0, 1, 1.5, np.nan])))
+        if draw(st.booleans()):
+            data["cap"] = value(st.one_of(st.floats(0.1, 5.0), st.sampled_from([0.0, -1.0, 1e308, np.inf, np.nan])))
+        if draw(st.booleans()):
+            data["signed"] = value(st.booleans(), st.sampled_from([0, 1, "false"]))
+    elif kind == "rotation2d" and draw(st.booleans()):
+        data["omega"] = value(st.one_of(st.floats(-3.0, 3.0), st.sampled_from([np.nan, -np.inf])))
+    elif kind == "linear":
+        data["matrix"] = value(_MATRIX, _MISTYPED_MATRIX)
+    elif kind == "grid_sampled":
+        data["xs"] = value(st.just([-1.0, 1.0]), _MISTYPED_MATRIX)
+        data["ts"] = [0.0, 1.0]
+        data["values"] = value(st.lists(st.lists(_COEF, min_size=2, max_size=2), min_size=2, max_size=2), _MISTYPED_MATRIX)
+    elif kind == "mollified":
+        data["eps"] = value(st.one_of(st.floats(0.05, 1.0), st.sampled_from([0.0, -0.1, 1e-6, 5e-324, np.nan, np.inf])))
+        data["base"], base_mistyped = draw(_drift_json(depth + 1))
+        mistyped |= base_mistyped
+    return data, mistyped
+
+
+@settings(max_examples=150, deadline=None)
+@given(drawn=_drift_json())
+@example(drawn=({"kind": "mollified", "eps": 0.05, "base": {"kind": "holder_power", "gamma": 0.5, "cap": 1e308}}, False))
+@example(drawn=({"kind": "linear", "matrix": [[[1.0]]]}, False))
+@example(drawn=({"kind": "holder_power", "gamma": "0.5"}, True))
+def test_drift_json_is_refused_or_round_trips(drawn):
+    data, mistyped = drawn
+    text = json.dumps(data)
+    try:
+        spec = dr.drift_from_dict(data)
+    except dr.DriftError:
+        with pytest.raises(harness.ConfigError, match="^drift: "):
+            harness.load_config("mean-pde-mc", overrides=[f"drift={text}"])
+        return
+    # a bool, a string or a list where a number belongs never builds a drift
+    assert not mistyped
+    assert dr.drift_from_json(dr.drift_to_json(spec)) == spec
+    config = harness.load_config("mean-pde-mc", overrides=[f"drift={text}"])
+    assert dr.drift_from_dict(config.drift) == spec
+    x = np.full((2, spec.dim), 0.3)
+    assert spec.value(0.0, x).shape == x.shape and spec.divergence(0.0, x).shape == (2,)
