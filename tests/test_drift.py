@@ -360,22 +360,38 @@ def test_points_are_dim_last_and_checked_at_entry(spec):
     assert spec.divergence(0.0, np.full((4, 3, 1), 0.5)).shape == (4, 3)
 
 
-_AFFINE = [
-    dr.ZeroDrift(),
-    dr.ZeroDrift(dim=2),
-    dr.LinearDrift(matrix=[[-1.3]]),
-    dr.LinearDrift(matrix=[[0.3, -1.1], [0.7, 0.2]]),
-    dr.Rotation2DDrift(omega=0.7),
+# The previous MollifiedDrift folded a 32-node rule with reference loops to
+# match; for an affine base theta_eps * (Ax + c) = Ax + c, so the loops are now
+# the base's one call.  The ids base2-base5 are the affine entries of that
+# table (base0, base1 and base6 were an opaque power law and a grid-sampled
+# field, which are refused now), and the batch sizes and shapes are the ones
+# that pinned the old fan-out.
+AFFINE_BASES = [
+    pytest.param(dr.LinearDrift(matrix=[[-1.3]]), id="base2"),
+    pytest.param(dr.Rotation2DDrift(omega=0.7), id="base3"),
+    pytest.param(dr.ZeroDrift(), id="base4"),
+    pytest.param(dr.LinearDrift(matrix=[[0.3, -1.1], [0.7, 0.2]]), id="base5"),
+    pytest.param(dr.ZeroDrift(dim=2), id="zero-2d"),
 ]
 
 
-@pytest.mark.parametrize("base", _AFFINE, ids=["zero", "zero-2d", "linear", "linear-2d", "rotation2d"])
-def test_mollified_affine_base_is_the_base_bitwise(base):
+@pytest.mark.parametrize("base", AFFINE_BASES)
+@pytest.mark.parametrize(
+    "n", [1, 129, 2049, 30, 511, 512, 513, 16385, pytest.param((2000, 9), id="2000x9")]
+)
+def test_mollified_drift_matches_previous_loops_bitwise(base, n):
     m = dr.mollify_drift(base, 0.05)
-    x = np.random.default_rng(7).uniform(-2.5, 2.5, size=(3, 129, base.dim))
-    x[0, :4, 0] = [0.0, -0.0, 2.0, -2.0]
-    assert m.value(0.25, x).tobytes() == base.value(0.25, x).tobytes()
-    assert m.divergence(0.25, x).tobytes() == base.divergence(0.25, x).tobytes()
+    rng = np.random.default_rng(n)
+    lead = n if isinstance(n, tuple) else (n,)
+    # signed zeros, the caps and beyond
+    special = np.array([0.0, -0.0, 2.0, -2.0, 1.5, -1.5, 3.7, -3.7])
+    for shape in (lead + (base.dim,), (3,) + lead + (base.dim,)):
+        x = rng.uniform(-2.5, 2.5, size=shape)
+        x[..., 0][:: max(lead[0] // 4, 1)] = 0.0
+        flat = x.reshape(-1, base.dim)  # a view: writes land in x
+        flat[: len(special), 0] = special[: len(flat)]
+        assert m.value(0.25, x).tobytes() == base.value(0.25, x).tobytes()
+        assert m.divergence(0.25, x).tobytes() == base.divergence(0.25, x).tobytes()
 
 
 class _Opaque(dr.Drift):
@@ -527,6 +543,26 @@ def test_mollified_power_law_never_takes_the_node_rule(monkeypatch):
 def test_holder_power_signed_zeros_give_positive_zero(signed):
     b = dr.HolderPowerDrift(gamma=0.5, cap=2.0, signed=signed)
     assert b.value(0.0, np.array([[-0.0], [0.0]])).tobytes() == np.zeros((2, 1)).tobytes()
+
+
+# a mollified affine drift checks its points once, at entry, and then takes
+# the base's analytic divergence without checking them again
+@pytest.mark.parametrize(
+    "base",
+    [
+        pytest.param(dr.LinearDrift(matrix=[[0.3, 0.1], [-0.2, 0.5]]), id="base0"),
+        pytest.param(dr.Rotation2DDrift(omega=0.7), id="base1"),
+    ],
+)
+def test_mollified_2d_divergence_checks_points_once(monkeypatch, base):
+    m = dr.mollify_drift(base, 0.1)
+    x = np.random.default_rng(3).uniform(-1.5, 1.5, size=(64, 64, 2))
+    ref = base.divergence(0.0, x)
+    checks = []
+    check_point = dr.Drift._check_point
+    monkeypatch.setattr(dr.Drift, "_check_point", lambda self, p: checks.append(p.shape) or check_point(self, p))
+    assert np.array_equal(m.divergence(0.0, x), ref)
+    assert checks == [x.shape]
 
 
 _finite = st.floats(-3.0, 3.0, allow_nan=False)
