@@ -508,7 +508,7 @@ def drift_from_dict(data: dict) -> Drift:
         raise DriftError(f"{kind} drift JSON has a malformed value: {exc}") from exc
 
 
-_KINDS = {bool: "true or false", int: "an integer", float: "a number", np.ndarray: "nested lists of numbers"}
+_KINDS = {bool: "true or false", int: "an integer", float: "a number", np.ndarray: "a number or nested lists of numbers"}
 
 
 def _typed(data, key, default, kind):
@@ -520,7 +520,10 @@ def _typed(data, key, default, kind):
     number = numbers.Integral if kind in (bool, int) else numbers.Real
     if not all(isinstance(v, bool) == (kind is bool) and isinstance(v, number) for v in items):
         raise DriftError(f"drift JSON has a malformed value: key {key!r} must be {_KINDS[kind]}, got {value!r}")
-    return np.asarray(value, dtype=float) if kind is np.ndarray else kind(value)
+    try:
+        return np.asarray(value, dtype=float) if kind is np.ndarray else kind(value)
+    except OverflowError as exc:
+        raise DriftError(f"drift JSON has a malformed value: key {key!r} is too large for a float") from exc
 
 
 def _drift_of_kind(kind, data):

@@ -129,7 +129,6 @@ def det_nonuniqueness(config):
         gamma,
         cap,
         _tp.StepDatum(0.0),
-        noise_on=False,
         t=t,
         n_x=config.grid["n_x"],
         n_s=config.grid["n_t"],
@@ -290,7 +289,7 @@ def grad_decay(config):
     study = _pb.grad_decay_study(spec, config.ladders["lam"], g["L"], g["n_x"])
     sups = [r["grad_sup"] for r in study["rows"]]
     monotone = all(b <= a for a, b in zip(sups, sups[1:]))
-    slope = study["slope"]
+    slope = float("nan") if study["slope"] is None else study["slope"]  # None: every sup is 0
     rows = [
         _row(f"grad_sup_lambda={r['lambda']:g}", r["grad_sup"], "reported", "none", True,
              lam=r["lambda"])

@@ -82,23 +82,23 @@ class BrownianPath:
 
     def index_of(self, t, name="time"):
         """Grid index of t, which must sit on the grid up to rounding."""
-        k = int(round(t / self.dt))
+        k = int(round(t / self.dt)) if np.isfinite(t) else -1  # -1: off the grid
         if not (0 <= k <= self.n_steps) or abs(k * self.dt - t) > 1e-9 * max(1.0, self.T):
             raise NoiseError(f"{name}={t} is not on the path grid (dt={self.dt})")
         return k
 
 
 def _philox(seed, stream_id):
-    if seed is None or seed < 0 or stream_id is None or stream_id < 0:
-        raise NoiseError("seed and stream_id must be non-negative integers")
-    key = np.array([seed, stream_id], dtype=np.uint64)
-    return Philox(key=key)
+    for name, v in (("seed", seed), ("stream_id", stream_id)):
+        if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or not 0 <= v < 2**64:
+            raise NoiseError(f"{name}={v!r}: must be an integer in [0, 2**64)")
+    return Philox(key=np.array([seed, stream_id], dtype=np.uint64))
 
 
 def _n_steps(T, dt):
     """Step count T / dt of a grid; dt must divide T up to rounding."""
-    if T <= 0 or dt <= 0 or dt > T:
-        raise NoiseError("need 0 < dt <= T")
+    if not 0 < dt <= T < np.inf:
+        raise NoiseError(f"need 0 < dt <= T < inf, got T={T}, dt={dt}")
     n = int(round(T / dt))
     if abs(n * dt - T) > 4.0 * np.spacing(T):
         raise NoiseError(f"dt={dt} does not divide T={T}; grids must align")
@@ -158,7 +158,7 @@ def grid_values(path: BrownianPath):
 
 def evaluate(path: BrownianPath, t):
     """W(t): exact at grid times, linear interpolation in between."""
-    if t < -1e-12 or t > path.T + 1e-9 * max(1.0, path.T):
+    if not -1e-12 <= t <= path.T + 1e-9 * max(1.0, path.T):
         raise NoiseError(f"t={t} outside the path range [0, {path.T}]")
     t = min(max(t, 0.0), path.T)
     pos = t / path.dt

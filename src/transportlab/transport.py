@@ -2,10 +2,9 @@
 
 Solutions come in two kinds: the characteristics solution u(t, x) =
 u0(phi_t^{-1}(x)) of the noisy equation, and the closed-form non-unique
-family of the deterministic equation with the power-law drift.  The checkers
-test candidate fields against the pathwise (perturbative) weak form and the
-Ito weak form, and evaluate mollification commutators plain and composed
-with a flow.
+family of the deterministic equation with the power-law drift.  The checker
+tests candidate fields against the pathwise (perturbative) weak form; the
+commutators of mollification are evaluated plain and composed with a flow.
 
 Quadrature.  Space integrals use composite two-point Gauss cells, the same
 number per axis and tensorized in 2-d, with cells split at every known
@@ -39,12 +38,10 @@ __all__ = [
     "CharacteristicsSolution",
     "ShiftedDatumSolution",
     "DeterministicFamilySolution",
-    "ShiftedFamilySolution",
     "ConstantField",
     "CommutatorReport",
     "deterministic_family",
     "perturbative_residual",
-    "weak_residual_ito",
     "commutator",
     "commutator_ladder",
     "commutator_along_flow",
@@ -104,8 +101,8 @@ class TestFunction:
     """theta(x) = (1 - |x-c|^2 / r^2)^3 inside B(c, r), zero outside.
 
     Polynomial, so quadrature against it is exact on Gauss cells; exposes the
-    gradient and Laplacian used by the weak forms (C^2 suffices for every
-    integral the checkers build).
+    gradient used by the weak form (C^2 suffices for every integral the
+    checker builds).
     """
 
     def __init__(self, center=0.0, radius=1.0):
@@ -137,18 +134,6 @@ class TestFunction:
         if self.dim == 1:
             return -6.0 * (x - self.center) * w / self.radius**2
         return -6.0 * (x - self.center) * w[..., None] / self.radius**2
-
-    def laplacian(self, x):
-        """Laplacian of theta: it enters only the Ito form of the weak
-        formulation (``weak_residual_ito``)."""
-        q = self._q(x)
-        inside = q < 1.0
-        qc = np.minimum(q, 1.0)
-        val = (
-            -6.0 * self.dim * (1.0 - qc) ** 2 / self.radius**2
-            + 24.0 * qc * (1.0 - qc) / self.radius**2
-        )
-        return np.where(inside, val, 0.0)
 
 
 def _tensor(axes):
@@ -260,11 +245,11 @@ class ShiftedDatumSolution:
 class CharacteristicsSolution:
     """u(s, x) = u0(phi_s^{-1}(x)) through a forward grid ensemble.
 
-    The solution the paper proves unique under noise; the noisy branch of
-    ``uniqueness_gap_experiment`` holds it to the weak form.  The ensemble is
-    built once on construction over ``x_span``, up to the path's end; jump
-    points of u0 are integrated alongside so their images (the moving
-    discontinuities) are known at every stored time.
+    The solution the paper proves unique under noise.  No experiment uses it:
+    tests hold it to the weak form.  The ensemble is built once on
+    construction over ``x_span``, up to the path's end; jump points of u0 are
+    integrated alongside so their images (the moving discontinuities) are
+    known at every stored time.
     """
 
     def __init__(self, spec, path, u0, x_span, n_grid=513):
@@ -374,28 +359,6 @@ class DeterministicFamilySolution:
         return (-xp, 0.0, xp)
 
 
-class ShiftedFamilySolution:
-    """The family formula naively dragged along the noise: u_det(s, x - W_s).
-
-    Not a solution of the noisy equation; serves as the negative control in
-    the noisy branch of the uniqueness-gap experiment, the theorem's side of
-    it: under noise, a noiseless weak solution is no longer a solution.
-    """
-
-    def __init__(self, family: DeterministicFamilySolution, path):
-        self.family = family
-        self.path = path
-        self.u0 = family.u0
-
-    def __call__(self, s, x):
-        w = _noise.evaluate(self.path, s)[0]
-        return self.family(s, np.asarray(x, dtype=float) - w)
-
-    def discontinuities(self, s):
-        w = _noise.evaluate(self.path, s)[0]
-        return tuple(d + w for d in self.family.discontinuities(s))
-
-
 # ---------------------------------------------------------------------------
 # weak-form residual checkers
 
@@ -445,7 +408,7 @@ def _drift_terms(providers, spec, theta, s, cells):
 
 def _check_weak_form(spec, theta, path, n_x):
     if int(n_x) < 1:
-        raise TransportError(f"n_x={n_x}: the weak forms need at least one cell per axis")
+        raise TransportError(f"n_x={n_x}: the weak form needs at least one cell per axis")
     dim = np.size(theta.center)
     if dim != spec.dim or path.d != spec.dim:
         raise TransportError(
@@ -506,49 +469,6 @@ def _perturbative_residuals(providers, spec, theta, path, t, n_x, n_s):
         term0 = _against_theta(p.u0, theta, wt, n_x, tuple(getattr(p.u0, "discontinuities", ())), "u0")
         defects.append(lhs - (term0 + float(np.trapezoid(row, dx=stride * path.dt))))
     return defects
-
-
-def weak_residual_ito(provider, spec, theta, path, t, n_x=512, signed=False):
-    """Residual of the Ito weak form, left-point Ito sums on the path grid.
-
-    The paper states weak solutions of the noisy equation in this Ito form,
-    u_t(theta) = u_0(theta) + int_0^t u_s(b . Dtheta + div b theta) ds
-    + int_0^t u_s(Dtheta) . dW_s + 1/2 int_0^t u_s(Laplacian theta) ds;
-    ``perturbative_residual`` is its pathwise rewriting.
-
-    Expected O(dt^(1/2)) noisier than the perturbative residual: the Ito sums
-    dominate the error budget.  Every path-grid time node costs (2 n_x)^d
-    Gauss nodes, as in ``perturbative_residual`` (roughly 120 MB of temporaries
-    per node in 2-d at the default n_x = 512).
-    """
-    _check_weak_form(spec, theta, path, n_x)
-    K = path.index_of(t)
-    zero = np.zeros(spec.dim)
-    sharp = _sharp_points(spec)
-    A = np.empty(K + 1)
-    B = np.empty((K + 1, spec.dim))
-    C = np.empty(K + 1)
-    for k in range(K + 1):
-        s = k * path.dt
-        cells = _cells(theta, zero, n_x, tuple(provider.discontinuities(s)) + sharp)
-        [(u, A[k])] = _drift_terms([provider], spec, theta, s, cells)
-        wu = cells.W * u
-        grad = np.reshape(theta.grad(cells.x), cells.points.shape)
-        B[k] = [np.sum(wu * grad[..., i]) for i in range(spec.dim)]
-        C[k] = float(np.sum(wu * theta.laplacian(cells.x)))
-    lhs = _against_theta(lambda x: provider(t, x), theta, zero, n_x,
-                         tuple(provider.discontinuities(t)), "provider")
-    u0 = provider.u0
-    term0 = _against_theta(u0, theta, zero, n_x, tuple(getattr(u0, "discontinuities", ())), "u0")
-    ito = float(np.sum(B[:-1] * path.increments[:K]))
-    defect = (
-        lhs
-        - term0
-        - float(np.trapezoid(A, dx=path.dt))
-        - ito
-        - 0.5 * float(np.trapezoid(C, dx=path.dt))
-    )
-    return defect if signed else abs(defect)
 
 
 # ---------------------------------------------------------------------------
@@ -691,75 +611,27 @@ def _median(values):
 # the uniqueness gap, measured
 
 
-def uniqueness_gap_experiment(
-    gamma,
-    cap,
-    u0,
-    noise_on,
-    seed=1,
-    n_paths=10,
-    t=1.0,
-    dt=2**-9,
-    n_x=512,
-    n_s=256,
-    a_values=(0.0, 0.5, 1.0),
-):
-    """Deterministic non-uniqueness vs noisy uniqueness, as residuals.
+def uniqueness_gap_experiment(gamma, cap, u0, t=1.0, n_x=512, n_s=256, a_values=(0.0, 0.5, 1.0)):
+    """Deterministic non-uniqueness, as residuals.
 
-    noise off: several family members all carry a near-zero pathwise
-    residual while being far apart in sup norm (non-uniqueness certified).
-    noise on: the characteristics solution keeps a small residual while the
-    naively shifted family member does not.  That branch is the theorem
-    itself (uniqueness is restored by noise); no stock experiment runs it.
+    The family members with gamma_+ = gamma_- = a, one per entry of
+    ``a_values``, all carry a near-zero pathwise residual on the zero path
+    while being far apart in sup norm (non-uniqueness certified).
     """
     spec = HolderPowerDrift(gamma=gamma, cap=cap, signed=True)
     theta = TestFunction(center=0.0, radius=2.0)
-    out = {"gamma": gamma, "noise_on": bool(noise_on)}
-    if not noise_on:
-        zero = _noise.zero_path(1, t, t / n_s)
-        members = [
-            DeterministicFamilySolution(gamma, cap, u0, (lambda s, a=a: a), (lambda s, a=a: a))
-            for a in a_values
-        ]
-        residuals = [abs(d) for d in _perturbative_residuals(members, spec, theta, zero, t, n_x, n_s)]
-        xp = float(_flow.holder_extremal_branch(gamma, cap, t))
-        probe = np.linspace(-0.95 * xp, 0.95 * xp, 101)
-        fields = [m(t, probe) for m in members]
-        gaps = [
-            float(np.max(np.abs(fields[i] - fields[j])))
-            for i in range(len(fields))
-            for j in range(i + 1, len(fields))
-        ]
-        out.update(
-            {
-                "a_values": list(a_values),
-                "residuals": residuals,
-                "min_pairwise_gap": min(gaps),
-                "x_plus": xp,
-            }
-        )
-        return out
-
-    char_res, naive_res = [], []
-    span = (-(cap + 4.0), cap + 4.0)
-    a_mid = a_values[len(a_values) // 2]
-    family = DeterministicFamilySolution(
-        gamma, cap, u0, (lambda s, a=a_mid: a), (lambda s, a=a_mid: a)
-    )
-    for j in range(n_paths):
-        path = _noise.sample_brownian(seed, j, 1, t, dt)
-        char = CharacteristicsSolution(spec, path, u0, x_span=span, n_grid=1025)
-        naive = ShiftedFamilySolution(family, path)
-        char_res.append(
-            perturbative_residual(char, spec, theta, path, t, n_x=n_x, n_s=n_s)
-        )
-        naive_res.append(
-            perturbative_residual(naive, spec, theta, path, t, n_x=n_x, n_s=n_s)
-        )
-    out.update(
-        {
-            "char_median_residual": _median(char_res),
-            "naive_median_residual": _median(naive_res),
-        }
-    )
-    return out
+    zero = _noise.zero_path(1, t, t / n_s)
+    members = [
+        DeterministicFamilySolution(gamma, cap, u0, (lambda s, a=a: a), (lambda s, a=a: a))
+        for a in a_values
+    ]
+    residuals = [abs(d) for d in _perturbative_residuals(members, spec, theta, zero, t, n_x, n_s)]
+    xp = float(_flow.holder_extremal_branch(gamma, cap, t))
+    probe = np.linspace(-0.95 * xp, 0.95 * xp, 101)
+    fields = [m(t, probe) for m in members]
+    gaps = [
+        float(np.max(np.abs(fields[i] - fields[j])))
+        for i in range(len(fields))
+        for j in range(i + 1, len(fields))
+    ]
+    return {"a_values": list(a_values), "residuals": residuals, "min_pairwise_gap": min(gaps)}

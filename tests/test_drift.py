@@ -298,6 +298,31 @@ def test_drift_json_reads_flags_and_counts_by_type(text, key):
         harness.load_config("mean-pde-mc", overrides=[f"drift={text}"])
 
 
+def test_drift_json_matrix_message_names_the_number_it_takes():
+    # a bare number is a 1x1 matrix, so the message offers it
+    assert dr.drift_from_json('{"kind": "linear", "matrix": 7}') == dr.LinearDrift([[7.0]])
+    with pytest.raises(dr.DriftError, match="'matrix' must be a number or nested lists of numbers, got '7'"):
+        dr.drift_from_json('{"kind": "linear", "matrix": "7"}')
+
+
+@pytest.mark.parametrize(
+    "template, key",
+    [
+        ('{{"kind": "holder_power", "gamma": {}}}', "gamma"),
+        ('{{"kind": "holder_power", "gamma": 0.5, "cap": {}}}', "cap"),
+        ('{{"kind": "mollified", "eps": {}, "base": {{"kind": "zero"}}}}', "eps"),
+        ('{{"kind": "linear", "matrix": [[{}]]}}', "matrix"),
+    ],
+)
+def test_drift_json_integer_beyond_a_float_names_its_key(template, key):
+    # "int too large to convert to float" named no key
+    text = template.format("1" + "0" * 400)
+    with pytest.raises(dr.DriftError, match=f"^drift JSON has a malformed value: key '{key}' is too large for a float$"):
+        dr.drift_from_json(text)
+    with pytest.raises(harness.ConfigError, match=f"^drift: .*'{key}' is too large"):
+        harness.load_config("mean-pde-mc", overrides=[f"drift={text}"])
+
+
 def test_eval_drift_thread_safe():
     # values may be shared and evaluated concurrently without synchronization
     from concurrent.futures import ThreadPoolExecutor

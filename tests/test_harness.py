@@ -1,5 +1,6 @@
 import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -279,6 +280,21 @@ def test_cli_exit_code_on_failure(tmp_path):
     assert out.returncode == 1, out.stderr
     assert "Traceback" not in out.stderr
     assert "[FAIL] det-nonuniqueness/min_pairwise_gap:" in out.stdout
+
+
+def test_cli_grad_decay_zero_drift_fails_the_slope_row(tmp_path):
+    # every sup|D psi| is 0, so no slope can be fitted: this ended in a TypeError
+    out = _run_cli(
+        ["run", "grad-decay", "--out", str(tmp_path / "runs"), "--set", 'drift={"kind":"zero"}',
+         "--set", "grid.n_x=256"],
+        tmp_path,
+    )
+    assert out.returncode == 1, out.stderr
+    assert "Traceback" not in out.stderr
+    assert "[FAIL] grad-decay/fitted_slope: measured=nan" in out.stdout
+    rows = {r["name"]: r for r in json.loads((tmp_path / "runs" / "grad-decay" / "report.json").read_text())["rows"]}
+    assert math.isnan(rows["fitted_slope"]["measured"]) and not rows["fitted_slope"]["passed"]
+    assert all(rows[f"grad_sup_lambda={lam:g}"]["measured"] == 0.0 for lam in (10, 30, 100, 300))
 
 
 @pytest.mark.parametrize(

@@ -78,6 +78,36 @@ def test_noise_arguments_checked_in_one_place():
         nz.stacked_increments([nz.zero_path(1, 1.0, 0.25), nz.zero_path(1, 1.0, 0.5)])
 
 
+@pytest.mark.parametrize(
+    "seed, stream, name",
+    [(1.5, 0, "seed"), (True, 0, "seed"), (-1, 0, "seed"), (2**64, 0, "seed"), (None, 0, "seed"),
+     (1, 0.5, "stream_id"), (1, False, "stream_id"), (1, -2, "stream_id")],
+)
+def test_seed_and_stream_must_be_integers(seed, stream, name):
+    # a seed of 1.5 drew seed 1's stream (uint64 truncation), and True was seed 1
+    with pytest.raises(nz.NoiseError, match=f"^{name}="):
+        nz.sample_increments(seed, 1, 1.0, 0.25, 2, stream_offset=stream)
+    with pytest.raises(nz.NoiseError, match=f"^{name}="):
+        nz.sample_brownian(seed, stream, 1, 1.0, 0.25)
+    # numpy integers are integers: the same bits as the Python int
+    want = nz.sample_brownian(7, 3, 1, 1.0, 0.25).increments
+    assert nz.sample_brownian(np.int64(7), np.uint32(3), 1, 1.0, 0.25).increments.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_times_are_refused(bad):
+    # each raised numpy's "cannot convert float NaN to integer" (or OverflowError)
+    p = nz.sample_brownian(1, 0, 1, 1.0, 0.25)
+    with pytest.raises(nz.NoiseError, match=r"^t=.* outside the path range"):
+        nz.evaluate(p, bad)
+    with pytest.raises(nz.NoiseError, match=r"^time=.* is not on the path grid"):
+        p.index_of(bad)
+    with pytest.raises(nz.NoiseError, match=rf"got T={bad}, dt=0.25$"):
+        nz.zero_path(1, bad, 0.25)
+    with pytest.raises(nz.NoiseError, match=rf"got T=1.0, dt={bad}$"):
+        nz.sample_increments(1, 1, 1.0, bad, 1)
+
+
 def test_evaluate_interpolation():
     p = nz.sample_brownian(1, 0, 1, 1.0, 1 / 4)
     assert np.all(nz.evaluate(p, 0.0) == 0.0)
